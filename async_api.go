@@ -9,7 +9,6 @@ package bfdn
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"bfdn/internal/async"
 	"bfdn/internal/sweep"
@@ -35,14 +34,7 @@ func AsyncAlgorithms() []AsyncAlgorithm { return []AsyncAlgorithm{AsyncBFDN, Asy
 
 // AsyncAlgorithmNames lists the canonical names in AsyncAlgorithms() order —
 // the single source for user-facing lists in CLIs and API errors.
-func AsyncAlgorithmNames() []string {
-	algs := AsyncAlgorithms()
-	names := make([]string, len(algs))
-	for i, a := range algs {
-		names[i] = a.String()
-	}
-	return names
-}
+func AsyncAlgorithmNames() []string { return algorithmNames(AsyncAlgorithms()) }
 
 // String returns the canonical lower-case name used by the CLIs and the
 // bfdnd HTTP API.
@@ -59,16 +51,7 @@ func (a AsyncAlgorithm) String() string {
 // ParseAsyncAlgorithm is the inverse of AsyncAlgorithm.String; the empty
 // string selects AsyncBFDN (matching the zero AsyncSweepPoint.Algorithm).
 func ParseAsyncAlgorithm(name string) (AsyncAlgorithm, error) {
-	if name == "" {
-		return AsyncBFDN, nil
-	}
-	for _, a := range AsyncAlgorithms() {
-		if a.String() == name {
-			return a, nil
-		}
-	}
-	return 0, fmt.Errorf("bfdn: unknown async algorithm %q (valid: %s)",
-		name, strings.Join(AsyncAlgorithmNames(), ", "))
+	return parseAlgorithm(name, "async algorithm", AsyncAlgorithms())
 }
 
 type asyncConfig struct {
@@ -149,14 +132,21 @@ func ExploreAsyncContext(ctx context.Context, t *Tree, speeds []float64, opts ..
 	if err != nil {
 		return nil, err
 	}
-	return &AsyncReport{
+	rep := asyncReport(t, speeds, res)
+	return &rep, nil
+}
+
+// asyncReport is the AsyncReport of a finished run on t with the fleet
+// speeds, attaching the continuous-time floor.
+func asyncReport(t *Tree, speeds []float64, res async.Result) AsyncReport {
+	return AsyncReport{
 		Makespan:      res.Makespan,
 		WorkDist:      res.WorkDist,
 		Events:        res.Events,
 		Floor:         async.LowerBound(t.N(), t.Depth(), speeds),
 		FullyExplored: res.FullyExplored,
 		AllAtRoot:     res.AllAtRoot,
-	}, nil
+	}
 }
 
 // AsyncSweepPoint is one run of a SweepAsync grid: the algorithm on Tree
@@ -176,56 +166,14 @@ type AsyncSweepResult struct {
 	Err    error       `json:"-"`
 }
 
-// asyncEngineConfig is the resolved configuration of one asynchronous sweep
-// invocation, mirroring engineConfig.
-type asyncEngineConfig struct {
-	opt    sweep.AsyncOptions
-	store  *JobStore
-	plan   []byte
-	resume bool
-}
-
-// AsyncEngineOption tunes the engine behind SweepAsync, the continuous-time
-// counterpart of EngineOption.
-type AsyncEngineOption func(*asyncEngineConfig)
-
-// WithAsyncSweepRecorder attaches an engine metrics recorder to an
-// asynchronous sweep; bfdnd wires its bfdnd_async_sweep_* families this way
-// (sweep.NewNamedRecorder keeps them separate from the synchronous ones).
-func WithAsyncSweepRecorder(rec *sweep.Recorder) AsyncEngineOption {
-	return func(c *asyncEngineConfig) { c.opt.Recorder = rec }
-}
-
-// WithAsyncSeedIndexBase offsets the per-point seed-derivation index, the
-// asynchronous face of WithSeedIndexBase: shards of one logical grid
-// reproduce the unsharded run exactly wherever they execute.
-func WithAsyncSeedIndexBase(base uint64) AsyncEngineOption {
-	return func(c *asyncEngineConfig) { c.opt.IndexBase = base }
-}
-
-// WithAsyncJobStore makes the asynchronous sweep resumable, the
-// continuous-time face of WithJobStore. Resume granularity is the point:
-// the async engine's pending-event heap holds a live randomness stream that
-// cannot be serialized, so interrupted points re-run whole — completed ones
-// replay from the journal (DESIGN.md S30).
-func WithAsyncJobStore(js *JobStore) AsyncEngineOption {
-	return func(c *asyncEngineConfig) { c.store = js }
-}
-
-// WithAsyncJobStorePlan is WithAsyncJobStore with caller-supplied canonical
-// plan bytes (must be valid JSON), mirroring WithJobStorePlan.
-func WithAsyncJobStorePlan(js *JobStore, plan []byte) AsyncEngineOption {
-	return func(c *asyncEngineConfig) { c.store, c.plan = js, plan }
-}
-
 // SweepAsync executes a grid of independent continuous-time runs on a
 // sharded worker pool with per-worker engine reuse. workers ≤ 0 selects
 // GOMAXPROCS; seed scrambles the deterministic per-point latency streams.
 // Results arrive in point order and are byte-identical at any worker count.
-// Per-point failures land in AsyncSweepResult.Err; SweepAsync itself errors
-// only on points invalid before running (nil tree, unknown algorithm or
-// latency spec).
-func SweepAsync(points []AsyncSweepPoint, workers int, seed int64, engineOpts ...AsyncEngineOption) ([]AsyncSweepResult, SweepStats, error) {
+// It takes the same EngineOption set as Sweep. Per-point failures land in
+// AsyncSweepResult.Err; SweepAsync itself errors only on points invalid
+// before running (nil tree, unknown algorithm or latency spec).
+func SweepAsync(points []AsyncSweepPoint, workers int, seed int64, engineOpts ...EngineOption) ([]AsyncSweepResult, SweepStats, error) {
 	return SweepAsyncContext(context.Background(), points, workers, seed, engineOpts...)
 }
 
@@ -233,15 +181,10 @@ func SweepAsync(points []AsyncSweepPoint, workers int, seed int64, engineOpts ..
 // expires every worker stops within 128 simulated events. Points completed
 // before the cancellation keep their results; every other point carries the
 // context's error.
-func SweepAsyncContext(ctx context.Context, points []AsyncSweepPoint, workers int, seed int64, engineOpts ...AsyncEngineOption) ([]AsyncSweepResult, SweepStats, error) {
-	out := make([]AsyncSweepResult, len(points))
-	stats, err := SweepAsyncStream(ctx, points, workers, seed, func(i int, r AsyncSweepResult) {
-		out[i] = r
-	}, engineOpts...)
-	if err != nil {
-		return nil, SweepStats{}, err
-	}
-	return out, stats, nil
+func SweepAsyncContext(ctx context.Context, points []AsyncSweepPoint, workers int, seed int64, engineOpts ...EngineOption) ([]AsyncSweepResult, SweepStats, error) {
+	return collect(len(points), func(onResult func(int, AsyncSweepResult)) (SweepStats, error) {
+		return SweepAsyncStream(ctx, points, workers, seed, onResult, engineOpts...)
+	})
 }
 
 // SweepAsyncStream is SweepAsyncContext for consumers that want results as
@@ -250,7 +193,7 @@ func SweepAsyncContext(ctx context.Context, points []AsyncSweepPoint, workers in
 // goroutine that ran it, in completion order, not point order — so it must
 // be safe for concurrent calls. Canceled points are reported too, with Err
 // set.
-func SweepAsyncStream(ctx context.Context, points []AsyncSweepPoint, workers int, seed int64, onResult func(index int, res AsyncSweepResult), engineOpts ...AsyncEngineOption) (SweepStats, error) {
+func SweepAsyncStream(ctx context.Context, points []AsyncSweepPoint, workers int, seed int64, onResult func(index int, res AsyncSweepResult), engineOpts ...EngineOption) (SweepStats, error) {
 	pts := make([]sweep.AsyncPoint, len(points))
 	for i, p := range points {
 		if p.Tree == nil {
@@ -273,36 +216,33 @@ func SweepAsyncStream(ctx context.Context, points []AsyncSweepPoint, workers int
 			Latency:   p.Latency,
 		}
 	}
-	cfg := asyncEngineConfig{opt: sweep.AsyncOptions{Workers: workers, BaseSeed: uint64(seed)}}
-	for _, eo := range engineOpts {
-		eo(&cfg)
-	}
-	if cfg.store != nil {
-		return runJournaledAsyncSweep(ctx, points, pts, onResult, &cfg)
-	}
-	if onResult != nil {
-		cfg.opt.OnResult = func(r sweep.AsyncResult) {
-			onResult(r.Point, convertAsyncResult(points[r.Point], r))
+	cfg := newEngineConfig(workers, seed, engineOpts)
+	exec := func(ctx context.Context, opt sweep.Options, sel []int, settle func(int, AsyncReport, error)) sweep.Stats {
+		aopt := sweep.AsyncOptions{Workers: opt.Workers, BaseSeed: opt.BaseSeed,
+			IndexBase: opt.IndexBase, SeedIndices: opt.SeedIndices, Recorder: opt.Recorder}
+		if settle != nil {
+			aopt.OnResult = func(r sweep.AsyncResult) {
+				i := globalIndex(sel, r.Point)
+				rep, err := convertAsyncResult(points[i], r)
+				settle(i, rep, err)
+			}
 		}
+		_, stats := sweep.RunAsyncContext(ctx, pick(pts, sel), aopt)
+		return stats
 	}
-	_, stats := sweep.RunAsyncContext(ctx, pts, cfg.opt)
-	return convertSweepStats(stats), nil
+	var settle func(int, AsyncReport, error)
+	if onResult != nil {
+		settle = func(i int, rep AsyncReport, err error) { onResult(i, AsyncSweepResult{Report: rep, Err: err}) }
+	}
+	return runSweep(ctx, cfg, "asyncsweep", points, hashAsyncSweepPoint, exec, settle)
 }
 
-// convertAsyncResult maps an engine result to the facade form, attaching
-// the point's continuous-time floor.
-func convertAsyncResult(p AsyncSweepPoint, r sweep.AsyncResult) AsyncSweepResult {
+// convertAsyncResult maps an engine result to the facade form.
+func convertAsyncResult(p AsyncSweepPoint, r sweep.AsyncResult) (AsyncReport, error) {
 	if r.Err != nil {
-		return AsyncSweepResult{Err: r.Err}
+		return AsyncReport{}, r.Err
 	}
-	return AsyncSweepResult{Report: AsyncReport{
-		Makespan:      r.Makespan,
-		WorkDist:      r.WorkDist,
-		Events:        r.Events,
-		Floor:         async.LowerBound(p.Tree.N(), p.Tree.Depth(), p.Speeds),
-		FullyExplored: r.FullyExplored,
-		AllAtRoot:     r.AllAtRoot,
-	}}
+	return asyncReport(p.Tree, p.Speeds, r.Result), nil
 }
 
 // AsyncLowerBound evaluates the continuous-time offline floor

@@ -21,6 +21,7 @@ package bfdn
 import (
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
 	"strings"
 	"time"
@@ -137,13 +138,31 @@ func Algorithms() []Algorithm {
 // AlgorithmNames lists the canonical names of every selectable algorithm, in
 // Algorithms() order — the single source for user-facing algorithm lists in
 // CLIs, usage text, and API errors.
-func AlgorithmNames() []string {
-	algs := Algorithms()
+func AlgorithmNames() []string { return algorithmNames(Algorithms()) }
+
+// algorithmNames lists the canonical names of algs, in order.
+func algorithmNames[A fmt.Stringer](algs []A) []string {
 	names := make([]string, len(algs))
 	for i, a := range algs {
 		names[i] = a.String()
 	}
 	return names
+}
+
+// parseAlgorithm finds the member of algs named name; the empty name selects
+// algs[0]. kind names the algorithm family in the error.
+func parseAlgorithm[A fmt.Stringer](name, kind string, algs []A) (A, error) {
+	if name == "" {
+		return algs[0], nil
+	}
+	for _, a := range algs {
+		if a.String() == name {
+			return a, nil
+		}
+	}
+	var zero A
+	return zero, fmt.Errorf("bfdn: unknown %s %q (valid: %s)",
+		kind, name, strings.Join(algorithmNames(algs), ", "))
 }
 
 // String returns the canonical lower-case name used by the CLIs and the
@@ -171,16 +190,7 @@ func (a Algorithm) String() string {
 // ParseAlgorithm is the inverse of Algorithm.String; the empty string selects
 // BFDN (matching the zero SweepPoint.Algorithm).
 func ParseAlgorithm(name string) (Algorithm, error) {
-	if name == "" {
-		return BFDN, nil
-	}
-	for _, a := range Algorithms() {
-		if a.String() == name {
-			return a, nil
-		}
-	}
-	return 0, fmt.Errorf("bfdn: unknown algorithm %q (valid: %s)",
-		name, strings.Join(AlgorithmNames(), ", "))
+	return parseAlgorithm(name, "algorithm", Algorithms())
 }
 
 type config struct {
@@ -191,17 +201,25 @@ type config struct {
 	schedule adversary.Schedule
 	seed     int64
 	progress func(Progress)
-	// Checkpointing (WithCheckpoint): the job store, the snapshot cadence in
-	// committed rounds, and whether the job must already exist (Resume*).
+	// Checkpointing (WithCheckpoint): the job store and the snapshot cadence
+	// in committed rounds.
 	store     *JobStore
 	ckptEvery int
-	resume    bool
 }
 
 // defaultConfig is the single source of Explore's defaults; every entry point
 // (Explore, ExploreTraced, Sweep) starts from it so defaults cannot drift.
 func defaultConfig() config {
 	return config{alg: BFDN, ell: 2, policy: core.LeastLoaded}
+}
+
+// coreOptions translates cfg's BFDN knobs into core options.
+func (cfg config) coreOptions() []core.Option {
+	opts := []core.Option{core.WithPolicy(cfg.policy)}
+	if cfg.shortcut {
+		opts = append(opts, core.WithShortcutReanchor())
+	}
+	return opts
 }
 
 // Option configures Explore.
@@ -289,11 +307,7 @@ type Report struct {
 func newSimAlgorithm(t *Tree, k int, cfg config) (sim.Algorithm, float64, error) {
 	switch cfg.alg {
 	case BFDN:
-		coreOpts := []core.Option{core.WithPolicy(cfg.policy)}
-		if cfg.shortcut {
-			coreOpts = append(coreOpts, core.WithShortcutReanchor())
-		}
-		return core.NewAlgorithm(k, coreOpts...),
+		return core.NewAlgorithm(k, cfg.coreOptions()...),
 			bounds.Theorem1(t.N(), t.Depth(), k, t.MaxDegree()), nil
 	case BFDNRecursive:
 		a, err := recursive.NewBFDNL(k, cfg.ell)
@@ -345,13 +359,9 @@ func ExploreContext(ctx context.Context, t *Tree, k int, opts ...Option) (*Repor
 	if err != nil {
 		return nil, err
 	}
-	w, err := sim.NewWorld(t.t, k)
+	w, err := newWorld(t, k, cfg)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.progress != nil {
-		f := cfg.progress
-		w.SetObserver(func(p sim.Progress) { f(Progress(p)) })
 	}
 	// One span for the whole simulation: under a traced bfdnd job this is
 	// the explore endpoint's "where did the time go" answer. A context with
@@ -364,7 +374,25 @@ func ExploreContext(ctx context.Context, t *Tree, k int, opts ...Option) (*Repor
 		return nil, err
 	}
 	span.SetAttr(tracing.Int("rounds", res.Rounds))
-	return &Report{
+	rep := simReport(t, k, res, bound)
+	return &rep, nil
+}
+
+// newWorld builds the world of a run on t with k robots, wiring cfg's
+// progress observer.
+func newWorld(t *Tree, k int, cfg config) (*sim.World, error) {
+	w, err := sim.NewWorld(t.t, k)
+	if err == nil && cfg.progress != nil {
+		f := cfg.progress
+		w.SetObserver(func(p sim.Progress) { f(Progress(p)) })
+	}
+	return w, err
+}
+
+// simReport is the Report of a finished run on t with k robots under the
+// guarantee bound.
+func simReport(t *Tree, k int, res sim.Result, bound float64) Report {
+	return Report{
 		Rounds:            res.Rounds,
 		Moves:             res.Moves,
 		EdgeExplorations:  res.EdgeExplorations,
@@ -372,7 +400,7 @@ func ExploreContext(ctx context.Context, t *Tree, k int, opts ...Option) (*Repor
 		OfflineLowerBound: bounds.OfflineLB(t.N(), t.Depth(), k),
 		FullyExplored:     res.FullyExplored,
 		AllAtRoot:         res.AllAtRoot,
-	}, nil
+	}
 }
 
 type scheduleAdapter struct{ s Schedule }
@@ -383,13 +411,9 @@ func exploreWithBreakdowns(ctx context.Context, t *Tree, k int, cfg config) (*Re
 	if cfg.alg != BFDN {
 		return nil, fmt.Errorf("bfdn: break-down schedules require the BFDN algorithm")
 	}
-	w, err := sim.NewWorld(t.t, k)
+	w, err := newWorld(t, k, cfg)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.progress != nil {
-		f := cfg.progress
-		w.SetObserver(func(p sim.Progress) { f(Progress(p)) })
 	}
 	a := adversary.New(k, scheduleAdapter{cfg.schedule})
 	res, err := adversary.RunUntilExploredContext(ctx, w, a, 100_000_000)
@@ -586,25 +610,37 @@ type SweepStats struct {
 	Errors int `json:"errors"`
 }
 
-// engineConfig is the resolved configuration of one sweep invocation: the
-// engine options plus the optional job-store attachment (DESIGN.md S30).
+// engineConfig is the resolved configuration of one sweep invocation, on
+// either engine: the engine options plus the optional job-store attachment
+// (DESIGN.md S30).
 type engineConfig struct {
-	opt    sweep.Options
-	store  *JobStore
-	plan   []byte
-	resume bool
+	opt   sweep.Options
+	store *JobStore
+	plan  []byte
 }
 
-// EngineOption tunes the sweep engine behind Sweep/SweepContext/SweepStream.
-// Unlike Option these act on the execution machinery, not the algorithm.
+// newEngineConfig resolves the engine options of one sweep invocation.
+func newEngineConfig(workers int, seed int64, engineOpts []EngineOption) *engineConfig {
+	cfg := &engineConfig{opt: sweep.Options{Workers: workers, BaseSeed: uint64(seed)}}
+	for _, eo := range engineOpts {
+		eo(cfg)
+	}
+	return cfg
+}
+
+// EngineOption tunes the sweep engine behind Sweep and SweepAsync and their
+// Context and Stream forms. Unlike Option and AsyncOption these act on the
+// execution machinery, not the algorithm, so both engines take the same set.
 type EngineOption func(*engineConfig)
 
 // WithSweepRecorder attaches an engine metrics recorder to a sweep: point
 // latency and queue-wait histograms plus monotonic totals, merged into the
 // recorder's registry atomically when the sweep completes. The bfdnd daemon
-// uses this to keep bfdnd_sweep_* totals consistent under concurrent sweeps.
-// Only in-module callers can construct a *sweep.Recorder (the package is
-// internal); external consumers read the same numbers from GET /metrics.
+// uses this to keep bfdnd_sweep_* totals consistent under concurrent sweeps,
+// and a sweep.NewNamedRecorder to keep its bfdnd_async_sweep_* families
+// separate. Only in-module callers can construct a *sweep.Recorder (the
+// package is internal); external consumers read the same numbers from GET
+// /metrics.
 func WithSweepRecorder(rec *sweep.Recorder) EngineOption {
 	return func(c *engineConfig) { c.opt.Recorder = rec }
 }
@@ -614,7 +650,7 @@ func WithSweepRecorder(rec *sweep.Recorder) EngineOption {
 // instead of i. A coordinator that splits one logical sweep into shards sets
 // the base to each shard's first global index, so every point's result is
 // identical to the unsharded run wherever the shard executes. The bfdnd
-// sweep endpoint exposes this as the request's indexBase field.
+// sweep endpoints expose this as the request's indexBase field.
 func WithSeedIndexBase(base uint64) EngineOption {
 	return func(c *engineConfig) { c.opt.IndexBase = base }
 }
@@ -625,16 +661,19 @@ func WithSeedIndexBase(base uint64) EngineOption {
 // delivered, and re-running the same sweep against the same store replays
 // the journaled points and executes only the missing ones — each with its
 // original global seed index, so the combined output is byte-identical to
-// an uninterrupted run. Failed points are not journaled; they re-run on
-// resume.
+// an uninterrupted run. Resuming is re-running: there is no separate call.
+// Failed points are not journaled; they re-run on resume. Resume
+// granularity is the point: an interrupted synchronous or asynchronous
+// point re-runs whole.
 func WithJobStore(js *JobStore) EngineOption {
 	return func(c *engineConfig) { c.store = js }
 }
 
 // WithJobStorePlan is WithJobStore with caller-supplied canonical plan
 // bytes (must be valid JSON). The bfdnd daemon passes its re-marshaled
-// request body so job identity is stable across processes and survives
-// facade-internal changes to the default fingerprint.
+// request body — or, on POST /v1/resume, the stored job's own plan — so job
+// identity is stable across processes and survives facade-internal changes
+// to the default fingerprint.
 func WithJobStorePlan(js *JobStore, plan []byte) EngineOption {
 	return func(c *engineConfig) { c.store, c.plan = js, plan }
 }
@@ -655,14 +694,9 @@ func Sweep(points []SweepPoint, workers int, seed int64, engineOpts ...EngineOpt
 // cancellation keep their results; every other point carries the context's
 // error in SweepResult.Err.
 func SweepContext(ctx context.Context, points []SweepPoint, workers int, seed int64, engineOpts ...EngineOption) ([]SweepResult, SweepStats, error) {
-	out := make([]SweepResult, len(points))
-	stats, err := SweepStream(ctx, points, workers, seed, func(i int, r SweepResult) {
-		out[i] = r
-	}, engineOpts...)
-	if err != nil {
-		return nil, SweepStats{}, err
-	}
-	return out, stats, nil
+	return collect(len(points), func(onResult func(int, SweepResult)) (SweepStats, error) {
+		return SweepStream(ctx, points, workers, seed, onResult, engineOpts...)
+	})
 }
 
 // SweepStream is SweepContext for consumers that want results as they are
@@ -702,20 +736,76 @@ func SweepStream(ctx context.Context, points []SweepPoint, workers int, seed int
 			},
 			ResetAlgorithm: recycleHook(cfg)}
 	}
-	cfg := engineConfig{opt: sweep.Options{Workers: workers, BaseSeed: uint64(seed)}}
-	for _, eo := range engineOpts {
-		eo(&cfg)
-	}
-	if cfg.store != nil {
-		return runJournaledSweep(ctx, points, pts, pointBounds, onResult, &cfg)
-	}
-	if onResult != nil {
-		cfg.opt.OnResult = func(r sweep.Result) {
-			onResult(r.Point, convertSweepResult(points[r.Point], pointBounds[r.Point], r))
+	cfg := newEngineConfig(workers, seed, engineOpts)
+	exec := func(ctx context.Context, opt sweep.Options, sel []int, settle func(int, Report, error)) sweep.Stats {
+		if settle != nil {
+			opt.OnResult = func(r sweep.Result) {
+				i := globalIndex(sel, r.Point)
+				rep, err := convertSweepResult(points[i], pointBounds[i], r)
+				settle(i, rep, err)
+			}
 		}
+		_, stats := sweep.RunContext(ctx, pick(pts, sel), opt)
+		return stats
 	}
-	_, stats := sweep.RunContext(ctx, pts, cfg.opt)
-	return convertSweepStats(stats), nil
+	var settle func(int, Report, error)
+	if onResult != nil {
+		settle = func(i int, rep Report, err error) { onResult(i, SweepResult{Report: rep, Err: err}) }
+	}
+	return runSweep(ctx, cfg, "sweep", points, hashSweepPoint, exec, settle)
+}
+
+// sweepExec is one engine's runner as the shared sweep path sees it: it runs
+// the points at the global indices sel (every point when sel is nil) under
+// opt, and — when settle is non-nil — settles each point by global index
+// with its report or error.
+type sweepExec[Rep any] func(ctx context.Context, opt sweep.Options, sel []int, settle func(i int, rep Rep, err error)) sweep.Stats
+
+// runSweep is the one sweep path behind both engines: a plain run, or the
+// journaled run of runJournaled when a job store is attached. kind names
+// the job kind ("sweep" or "asyncsweep"); hashPoint feeds the default plan
+// identity when the caller supplied no plan bytes.
+func runSweep[P, Rep any](ctx context.Context, cfg *engineConfig, kind string, points []P,
+	hashPoint func(io.Writer, P), exec sweepExec[Rep], settle func(int, Rep, error)) (SweepStats, error) {
+	if cfg.store == nil {
+		return convertSweepStats(exec(ctx, cfg.opt, nil, settle)), nil
+	}
+	if cfg.plan == nil {
+		cfg.plan = sweepPlanBytes(kind, points, cfg.opt.BaseSeed, cfg.opt.IndexBase, hashPoint)
+	}
+	return runJournaled(ctx, cfg, kind, len(points), exec, settle)
+}
+
+// pick returns the elements of pts at the indices sel, or pts itself when
+// sel is nil.
+func pick[P any](pts []P, sel []int) []P {
+	if sel == nil {
+		return pts
+	}
+	out := make([]P, len(sel))
+	for j, i := range sel {
+		out[j] = pts[i]
+	}
+	return out
+}
+
+// globalIndex maps position j of a pick(pts, sel) run back to its index in
+// pts.
+func globalIndex(sel []int, j int) int {
+	if sel == nil {
+		return j
+	}
+	return sel[j]
+}
+
+// collect runs a streaming sweep and gathers its results in point order.
+func collect[R any](n int, stream func(onResult func(int, R)) (SweepStats, error)) ([]R, SweepStats, error) {
+	out := make([]R, n)
+	stats, err := stream(func(i int, r R) { out[i] = r })
+	if err != nil {
+		return nil, SweepStats{}, err
+	}
+	return out, stats, nil
 }
 
 // convertSweepStats maps engine stats to the facade form.
@@ -738,11 +828,7 @@ func convertSweepStats(stats sweep.Stats) SweepStats {
 func recycleHook(cfg config) func(prev sim.Algorithm, k int, rng *rand.Rand) sim.Algorithm {
 	switch cfg.alg {
 	case BFDN:
-		coreOpts := []core.Option{core.WithPolicy(cfg.policy)}
-		if cfg.shortcut {
-			coreOpts = append(coreOpts, core.WithShortcutReanchor())
-		}
-		return core.RecycleAlgorithm(coreOpts...)
+		return core.RecycleAlgorithm(cfg.coreOptions()...)
 	case CTE:
 		return cte.Recycle
 	case TreeMining:
@@ -756,19 +842,11 @@ func recycleHook(cfg config) func(prev sim.Algorithm, k int, rng *rand.Rand) sim
 
 // convertSweepResult maps an engine result to the facade form, attaching the
 // point's precomputed guarantee and offline lower bound.
-func convertSweepResult(p SweepPoint, bound float64, r sweep.Result) SweepResult {
+func convertSweepResult(p SweepPoint, bound float64, r sweep.Result) (Report, error) {
 	if r.Err != nil {
-		return SweepResult{Err: r.Err}
+		return Report{}, r.Err
 	}
-	return SweepResult{Report: Report{
-		Rounds:            r.Rounds,
-		Moves:             r.Moves,
-		EdgeExplorations:  r.EdgeExplorations,
-		Bound:             bound,
-		OfflineLowerBound: bounds.OfflineLB(p.Tree.N(), p.Tree.Depth(), p.K),
-		FullyExplored:     r.FullyExplored,
-		AllAtRoot:         r.AllAtRoot,
-	}}
+	return simReport(p.Tree, p.K, r.Result, bound), nil
 }
 
 // Theorem1Bound evaluates the BFDN guarantee 2n/k + D²(min{log k, log Δ}+3).

@@ -23,7 +23,6 @@
 //	GET  /healthz      liveness + load snapshot (503 while draining)
 //	GET  /capacity     admission limits + load, for distributed coordinators
 //	GET  /metrics      Prometheus text exposition (bfdnd_*)
-//	GET  /debug/vars   thin expvar-compatible view of the same counters
 //	GET  /debug/pprof/ net/http/pprof profiles
 //	GET  /debug/traces JSONL span export (?trace= filters one trace)
 //	GET  /debug/exemplars  latency-bucket → recent trace ID exemplars

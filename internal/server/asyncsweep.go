@@ -2,32 +2,18 @@ package server
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
-	"net/http"
+	"errors"
 
 	"bfdn"
+	"bfdn/internal/sweep"
 )
 
-// asyncSweepRequest is the POST /v1/asyncsweep body: a grid of independent
-// continuous-time runs (the asynchronous engine behind bfdn.SweepAsync)
-// streamed back as JSONL, one line per point in point order, as points
-// complete. The seed/indexBase pair follows the synchronous sweep contract:
-// point i draws its latency randomness from (seed, indexBase+i), so shards
-// of one logical grid reproduce the unsharded stream exactly.
-type asyncSweepRequest struct {
-	// Seed scrambles the deterministic per-point latency streams.
-	Seed int64 `json:"seed"`
-	// IndexBase offsets per-point seed derivation for sharded grids; a
-	// distributed coordinator sets it to the shard's first global index.
-	IndexBase int64 `json:"indexBase"`
-	// TimeoutMS bounds the whole sweep (default/cap as for /v1/explore).
-	TimeoutMS int64                 `json:"timeoutMs"`
-	Points    []asyncSweepPointSpec `json:"points"`
-}
-
-// asyncSweepPointSpec is one continuous-time run: a generated tree, a fleet
-// of per-robot speeds, a decision strategy, and a latency model.
+// asyncSweepPointSpec is one continuous-time run of POST /v1/asyncsweep (the
+// asynchronous engine behind bfdn.SweepAsync): a generated tree, a fleet of
+// per-robot speeds, a decision strategy, and a latency model. The request
+// follows the synchronous sweep contract: point i draws its latency
+// randomness from (seed, indexBase+i), so shards of one logical grid
+// reproduce the unsharded stream exactly.
 type asyncSweepPointSpec struct {
 	Family   string `json:"family"`
 	N        int    `json:"n"`
@@ -43,135 +29,31 @@ type asyncSweepPointSpec struct {
 	Latency string `json:"latency"`
 }
 
-// asyncSweepLine is one streamed JSONL record of an asynchronous sweep.
-// Point lines carry exactly one of Report/Error; the final line has
-// Point = -1, Done = true, and the engine stats.
-type asyncSweepLine struct {
-	Point  int               `json:"point"`
-	Report *bfdn.AsyncReport `json:"report,omitempty"`
-	Error  string            `json:"error,omitempty"`
-
-	Done         bool    `json:"done,omitempty"`
-	Points       int     `json:"points,omitempty"`
-	PointsPerSec float64 `json:"pointsPerSec,omitempty"`
-	Workers      int     `json:"workers,omitempty"`
+func (p asyncSweepPointSpec) treeKey() treeKey {
+	return treeKey{p.Family, p.N, p.Depth, p.TreeSeed}
 }
 
-func (s *Server) handleAsyncSweep(w http.ResponseWriter, r *http.Request) {
-	var req asyncSweepRequest
-	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if len(req.Points) == 0 {
-		writeError(w, http.StatusBadRequest, "need at least one point")
-		return
-	}
-	if len(req.Points) > s.cfg.MaxPoints {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("sweep has %d points, limit is %d", len(req.Points), s.cfg.MaxPoints))
-		return
-	}
-	if req.IndexBase < 0 {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("need indexBase ≥ 0, got %d", req.IndexBase))
-		return
-	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMS)
-	defer cancel()
-	// The job context carries the job span (when tracing is on), so the
-	// pool's worker spans and the async engine's phase spans land under it.
-	s.runJob(ctx, w, r, "asyncsweep", func(ctx context.Context) {
-		s.asyncSweepJob(ctx, w, req, false)
-	})
-}
-
-// asyncSweepJob is the body of an asynchronous sweep job, shared between
-// POST /v1/asyncsweep and the asyncsweep arm of POST /v1/resume. It runs
-// with the execution slot held.
-func (s *Server) asyncSweepJob(ctx context.Context, w http.ResponseWriter, req asyncSweepRequest, resume bool) {
-	// Materialize the grid, sharing one tree across identical specs as
-	// /v1/sweep does (grids routinely reuse one tree across fleets and
-	// latency models, and trees are immutable).
-	points := make([]bfdn.AsyncSweepPoint, len(req.Points))
-	type treeKey struct {
-		family   string
-		n, depth int
-		seed     int64
-	}
-	trees := make(map[treeKey]*bfdn.Tree)
-	for i, p := range req.Points {
+// asyncGrid is the continuous-time engine behind POST /v1/asyncsweep. Its
+// recorder feeds the bfdnd_async_sweep_* families, leaving the synchronous
+// bfdnd_sweep_* families untouched.
+var asyncGrid = gridEngine[asyncSweepPointSpec, bfdn.AsyncSweepPoint, bfdn.AsyncReport]{
+	kind:     "asyncsweep",
+	recorder: func(m *metrics) *sweep.Recorder { return m.asyncSweep },
+	point: func(p asyncSweepPointSpec, tree func() (*bfdn.Tree, error)) (bfdn.AsyncSweepPoint, error) {
 		if len(p.Speeds) == 0 {
-			writeError(w, http.StatusBadRequest,
-				fmt.Sprintf("point %d: need at least one robot speed", i))
-			return
+			return bfdn.AsyncSweepPoint{}, errors.New("need at least one robot speed")
 		}
 		alg, err := bfdn.ParseAsyncAlgorithm(p.Algorithm)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("point %d: %v", i, err))
-			return
+			return bfdn.AsyncSweepPoint{}, err
 		}
-		key := treeKey{p.Family, p.N, p.Depth, p.TreeSeed}
-		t, ok := trees[key]
-		if !ok {
-			t, err = s.buildTree(p.Family, p.N, p.Depth, p.TreeSeed, nil)
-			if err != nil {
-				writeError(w, http.StatusBadRequest, fmt.Sprintf("point %d: %v", i, err))
-				return
-			}
-			trees[key] = t
-		}
-		points[i] = bfdn.AsyncSweepPoint{Tree: t, Speeds: p.Speeds, Algorithm: alg, Latency: p.Latency}
-	}
-
-	// The named recorder folds this sweep's signals into the
-	// bfdnd_async_sweep_* families, leaving the synchronous bfdnd_sweep_*
-	// families untouched.
-	opts := []bfdn.AsyncEngineOption{
-		bfdn.WithAsyncSweepRecorder(s.m.asyncSweep),
-		bfdn.WithAsyncSeedIndexBase(uint64(req.IndexBase)),
-	}
-	if s.cfg.Store != nil {
-		plan, err := json.Marshal(asyncSweepPlan{Seed: req.Seed, IndexBase: req.IndexBase, Points: req.Points})
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		opts = append(opts, bfdn.WithAsyncJobStorePlan(s.cfg.Store, plan))
-	}
-
-	// Lines are emitted strictly in point order (orderedStream), so the
-	// stream is byte-identical at any SweepWorkers setting — the headers
-	// set here only flush on the first body write, leaving room for the
-	// clean 400 below when SweepAsyncStream rejects a latency spec.
-	stream := newOrderedStream(w)
-	emit := func(i int, res bfdn.AsyncSweepResult) {
-		line := asyncSweepLine{Point: i}
-		if res.Err != nil {
-			line.Error = res.Err.Error()
-		} else {
-			rep := res.Report
-			line.Report = &rep
-		}
-		stream.emit(i, line)
-	}
-
-	run := bfdn.SweepAsyncStream
-	if resume {
-		run = bfdn.ResumeSweepAsyncStream
-	}
-	stats, err := run(ctx, points, s.cfg.SweepWorkers, req.Seed, emit, opts...)
-	if err != nil {
-		// SweepAsyncStream validates every point before running anything,
-		// so on error no line has been written and the status is still
-		// ours.
-		w.Header().Del("X-Accel-Buffering")
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	if s.cfg.Store != nil && stats.Points < len(points) {
-		s.m.jsReplayed.Add(uint64(len(points) - stats.Points))
-	}
-	stream.finish(asyncSweepLine{Point: -1, Done: true, Points: stats.Points,
-		PointsPerSec: stats.PointsPerSec, Workers: stats.Workers})
+		t, err := tree()
+		return bfdn.AsyncSweepPoint{Tree: t, Speeds: p.Speeds, Algorithm: alg, Latency: p.Latency}, err
+	},
+	stream: func(ctx context.Context, points []bfdn.AsyncSweepPoint, workers int, seed int64,
+		emit func(int, *bfdn.AsyncReport, error), opts ...bfdn.EngineOption) (bfdn.SweepStats, error) {
+		return bfdn.SweepAsyncStream(ctx, points, workers, seed, func(i int, r bfdn.AsyncSweepResult) {
+			emit(i, &r.Report, r.Err)
+		}, opts...)
+	},
 }

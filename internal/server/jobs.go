@@ -8,27 +8,8 @@ import (
 	"net/http"
 
 	"bfdn"
+	"bfdn/internal/jobstore"
 )
-
-// sweepPlan is the canonical job-identity form of a sweep request: the
-// re-marshaled fields that determine the run's output, in fixed order, with
-// the timeout excluded (operational, not identity). The bytes of
-// json.Marshal(sweepPlan{...}) are hashed into the job ID and stored
-// verbatim in the job manifest, so POST /v1/resume can reconstruct the
-// request from the manifest alone — and so job identity is stable across
-// processes and bfdnd restarts.
-type sweepPlan struct {
-	Seed      int64            `json:"seed"`
-	IndexBase int64            `json:"indexBase"`
-	Points    []sweepPointSpec `json:"points"`
-}
-
-// asyncSweepPlan is sweepPlan's continuous-time sibling.
-type asyncSweepPlan struct {
-	Seed      int64                 `json:"seed"`
-	IndexBase int64                 `json:"indexBase"`
-	Points    []asyncSweepPointSpec `json:"points"`
-}
 
 // jobsResponse is the GET /v1/jobs body.
 type jobsResponse struct {
@@ -89,46 +70,35 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 	// jobs whose plan is an opaque fingerprint, or kinds (explore, dsweep)
 	// that resume through the facade or the coordinator instead.
 	switch job.Kind() {
-	case "sweep":
-		var plan sweepPlan
-		if err := decodePlan(job.Plan(), &plan); err != nil {
-			writeError(w, http.StatusBadRequest,
-				fmt.Sprintf("job %s has no resumable plan (%v); only jobs created over HTTP can resume here", req.Job, err))
-			return
-		}
-		sreq := sweepRequest{Seed: plan.Seed, IndexBase: plan.IndexBase, TimeoutMS: req.TimeoutMS, Points: plan.Points}
-		ctx, cancel := s.requestContext(r, req.TimeoutMS)
-		defer cancel()
-		s.runJob(ctx, w, r, "resume", func(ctx context.Context) {
-			s.m.jsResumes.Inc()
-			s.sweepJob(ctx, w, sreq, true)
-		})
-	case "asyncsweep":
-		var plan asyncSweepPlan
-		if err := decodePlan(job.Plan(), &plan); err != nil {
-			writeError(w, http.StatusBadRequest,
-				fmt.Sprintf("job %s has no resumable plan (%v); only jobs created over HTTP can resume here", req.Job, err))
-			return
-		}
-		areq := asyncSweepRequest{Seed: plan.Seed, IndexBase: plan.IndexBase, TimeoutMS: req.TimeoutMS, Points: plan.Points}
-		ctx, cancel := s.requestContext(r, req.TimeoutMS)
-		defer cancel()
-		s.runJob(ctx, w, r, "resume", func(ctx context.Context) {
-			s.m.jsResumes.Inc()
-			s.asyncSweepJob(ctx, w, areq, true)
-		})
+	case syncGrid.kind:
+		resumeGrid(s, w, r, syncGrid, job, req.TimeoutMS)
+	case asyncGrid.kind:
+		resumeGrid(s, w, r, asyncGrid, job, req.TimeoutMS)
 	default:
 		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("job %s has kind %q: explore jobs resume through the bfdn facade (ResumeExplore) and dsweep jobs through the coordinator, not over HTTP", req.Job, job.Kind()))
+			fmt.Sprintf("job %s has kind %q: explore jobs resume by re-running with the bfdn facade's WithCheckpoint and dsweep jobs through the coordinator, not over HTTP", req.Job, job.Kind()))
 	}
 }
 
-// decodePlan strictly decodes a manifest's plan bytes: unknown fields mean
-// the plan was not written by this daemon's canonical re-marshal.
-func decodePlan(plan []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(plan))
+// resumeGrid re-drives a stored grid job of engine e. The job's own plan
+// bytes key the run, so it hits the stored journal by construction.
+func resumeGrid[S pointSpec, P, Rep any](s *Server, w http.ResponseWriter, r *http.Request,
+	e gridEngine[S, P, Rep], job *jobstore.Job, timeoutMS int64) {
+	var plan gridPlan[S]
+	dec := json.NewDecoder(bytes.NewReader(job.Plan()))
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	if err := dec.Decode(&plan); err != nil {
+		writeError(w, http.StatusBadRequest,
+			fmt.Sprintf("job %s has no resumable plan (%v); only jobs created over HTTP can resume here", job.ID(), err))
+		return
+	}
+	req := gridRequest[S]{Seed: plan.Seed, IndexBase: plan.IndexBase, TimeoutMS: timeoutMS, Points: plan.Points}
+	ctx, cancel := s.requestContext(r, timeoutMS)
+	defer cancel()
+	s.runJob(ctx, w, r, "resume", func(ctx context.Context) {
+		s.m.jsResumes.Inc()
+		gridJob(ctx, s, w, e, req, job.Plan())
+	})
 }
 
 // handleRegister and handleWorkers expose the fleet registry when one is

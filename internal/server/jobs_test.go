@@ -225,14 +225,14 @@ func TestResumeRejections(t *testing.T) {
 		t.Errorf("unknown job: status %d, want 404", resp.StatusCode)
 	}
 
-	// An explore job (created by the facade, resumed through ResumeExplore)
-	// is not resumable over HTTP.
+	// An explore job (created by the facade, resumed by re-running with
+	// WithCheckpoint) is not resumable over HTTP.
 	job, _, err := js.Store().OpenOrCreate("explore", []byte(`{"fp":"1"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp, data := postJSON(t, ts.Client(), ts.URL+"/v1/resume", `{"job":"`+job.ID()+`"}`)
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "ResumeExplore") {
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "WithCheckpoint") {
 		t.Errorf("explore job: status %d, body %s", resp.StatusCode, data)
 	}
 

@@ -112,6 +112,9 @@ func TestExploreValidation(t *testing.T) {
 	}
 }
 
+// sweepLine is a /v1/sweep JSONL record.
+type sweepLine = gridLine[bfdn.Report]
+
 // readSweepStream consumes a JSONL sweep response, returning point lines and
 // the final done line.
 func readSweepStream(t *testing.T, body io.Reader) (points []sweepLine, done *sweepLine) {
@@ -395,7 +398,7 @@ func TestShutdownDrainsInFlightWork(t *testing.T) {
 	}
 }
 
-func TestHealthzAndExpvar(t *testing.T) {
+func TestHealthzAndMetrics(t *testing.T) {
 	srv := New(Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -416,27 +419,13 @@ func TestHealthzAndExpvar(t *testing.T) {
 		t.Fatalf("healthz: %d %+v", resp.StatusCode, h)
 	}
 
-	vresp, err := ts.Client().Get(ts.URL + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer vresp.Body.Close()
-	var vars map[string]json.RawMessage
-	if err := json.NewDecoder(vresp.Body).Decode(&vars); err != nil {
-		t.Fatalf("expvar JSON: %v", err)
-	}
-	for _, key := range []string{
-		"bfdnd_requests_total", "bfdnd_jobs_inflight", "bfdnd_jobs_queued",
-		"bfdnd_jobs_rejected_total", "bfdnd_sweep_points_total",
-	} {
-		if _, ok := vars[key]; !ok {
-			t.Errorf("expvar missing %q", key)
-		}
-	}
 	// bfdnd_sweep_last_points_per_sec was last-write-wins under concurrent
-	// sweeps and is deliberately gone; the histogram on /metrics replaces it.
-	if _, ok := vars["bfdnd_sweep_last_points_per_sec"]; ok {
-		t.Error("expvar still exports bfdnd_sweep_last_points_per_sec")
+	// sweeps and is deliberately gone; the point-duration histogram replaces
+	// it.
+	for _, sample := range scrape(t, ts.Client(), ts.URL) {
+		if strings.HasPrefix(sample, "bfdnd_sweep_last_points_per_sec") {
+			t.Errorf("/metrics still exports %s", sample)
+		}
 	}
 
 	presp, err := ts.Client().Get(ts.URL + "/debug/pprof/cmdline")

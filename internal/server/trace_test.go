@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -107,6 +108,12 @@ func TestTraceCoversJobAndEngine(t *testing.T) {
 	}
 	if got := resp.Header.Get("X-Bfdnd-Trace"); got != remoteTrace {
 		t.Fatalf("X-Bfdnd-Trace = %q, want the inbound trace %q", got, remoteTrace)
+	}
+	// The job and run spans end when the handler returns, which is only
+	// certain once the stream has been read to EOF; the status line alone
+	// arrives while the sweep is still running.
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+		t.Fatal(err)
 	}
 
 	recs := fetchTrace(t, ts.Client(), ts.URL, remoteTrace)

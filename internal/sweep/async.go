@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"bfdn/internal/async"
@@ -44,37 +43,9 @@ type AsyncResult struct {
 	Err error
 }
 
-// AsyncOptions configure RunAsync; the fields mirror Options (the engines
-// share the determinism scheme, pool mechanics, and Recorder signals — wire
-// an async engine's Recorder with NewNamedRecorder to keep its metric
-// families separate).
-type AsyncOptions struct {
-	// Workers is the worker-pool size; ≤ 0 selects GOMAXPROCS.
-	Workers int
-	// BaseSeed scrambles every per-point seed; IndexBase offsets the index
-	// fed to DeriveSeed for sharded grids (see Options.IndexBase).
-	BaseSeed  uint64
-	IndexBase uint64
-	// SeedIndices, when non-nil, overrides the derivation index per point
-	// exactly like Options.SeedIndices (the resume path of DESIGN.md S30).
-	SeedIndices []uint64
-	// OnResult, when non-nil, fires once per point as soon as its result is
-	// final, on the worker goroutine, in completion order. Must be safe for
-	// concurrent calls.
-	OnResult func(AsyncResult)
-	// Recorder, when non-nil, receives the run's signals after the pool
-	// drains, merged atomically.
-	Recorder *Recorder
-}
-
-// seedIndex resolves the derivation index of point i: the SeedIndices
-// override when set, IndexBase+i otherwise.
-func (o *AsyncOptions) seedIndex(i int) uint64 {
-	if o.SeedIndices != nil {
-		return o.SeedIndices[i]
-	}
-	return o.IndexBase + uint64(i)
-}
+// AsyncOptions configure RunAsync; wire an async engine's Recorder with
+// NewNamedRecorder to keep its metric families separate.
+type AsyncOptions = RunOptions[AsyncResult]
 
 // RunAsync executes all asynchronous points on a worker pool and returns
 // one AsyncResult per point, in point order. Failures are per-point;
@@ -166,16 +137,4 @@ func runAsyncPoint(ctx context.Context, engine **async.Engine, cache map[string]
 	}
 	res.Result = r
 	return res
-}
-
-// JoinAsyncErrors collects every per-point error of an asynchronous sweep
-// into one error, or nil when all points succeeded.
-func JoinAsyncErrors(results []AsyncResult) error {
-	var errs []error
-	for _, r := range results {
-		if r.Err != nil {
-			errs = append(errs, r.Err)
-		}
-	}
-	return errors.Join(errs...)
 }

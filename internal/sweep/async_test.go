@@ -40,7 +40,7 @@ func asyncGrid(t *testing.T) []AsyncPoint {
 func TestRunAsyncWorkerCountInvariance(t *testing.T) {
 	points := asyncGrid(t)
 	base, _ := RunAsync(points, AsyncOptions{Workers: 1, BaseSeed: 42})
-	if err := JoinAsyncErrors(base); err != nil {
+	if err := JoinErrors(base); err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range base {
@@ -121,8 +121,8 @@ func TestRunAsyncBadPoints(t *testing.T) {
 	if stats.Errors != 4 {
 		t.Errorf("stats.Errors = %d, want 4", stats.Errors)
 	}
-	if JoinAsyncErrors(results) == nil {
-		t.Error("JoinAsyncErrors = nil with failing points")
+	if JoinErrors(results) == nil {
+		t.Error("JoinErrors = nil with failing points")
 	}
 }
 

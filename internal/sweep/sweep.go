@@ -104,7 +104,13 @@ func (s Stats) String() string {
 }
 
 // Options configure Run. The zero value is valid.
-type Options struct {
+type Options = RunOptions[Result]
+
+// RunOptions configure a sweep whose points settle into results of type R:
+// Options (R = Result) for Run, AsyncOptions (R = AsyncResult) for RunAsync.
+// Both engines share the determinism scheme, pool mechanics, and Recorder
+// signals, so they share every knob. The zero value is valid.
+type RunOptions[R any] struct {
 	// Workers is the worker-pool size; ≤ 0 selects GOMAXPROCS.
 	Workers int
 	// BaseSeed scrambles every per-point seed (DeriveSeed).
@@ -128,7 +134,7 @@ type Options struct {
 	// completion order (not point order). Canceled points are reported too,
 	// with Err set. Implementations must be safe for concurrent calls; slow
 	// callbacks stall the worker that runs them.
-	OnResult func(Result)
+	OnResult func(R)
 	// Recorder, when non-nil, receives the run's signals after the pool
 	// drains: per-point duration and queue-wait observations, point/error
 	// totals and worker busy time are merged in atomically, so one Recorder
@@ -139,7 +145,7 @@ type Options struct {
 
 // seedIndex resolves the derivation index of point i: the SeedIndices
 // override when set, IndexBase+i otherwise.
-func (o *Options) seedIndex(i int) uint64 {
+func (o *RunOptions[R]) seedIndex(i int) uint64 {
 	if o.SeedIndices != nil {
 		return o.SeedIndices[i]
 	}
@@ -396,13 +402,16 @@ func runPoint(ctx context.Context, ws *workerState, p Point, index int, opt Opti
 	return res
 }
 
-// JoinErrors collects every per-point error of a sweep into one error
-// (errors.Join), or nil when all points succeeded.
-func JoinErrors(results []Result) error {
+func (r Result) failure() error      { return r.Err }
+func (r AsyncResult) failure() error { return r.Err }
+
+// JoinErrors collects every per-point error of a sweep on either engine
+// into one error (errors.Join), or nil when all points succeeded.
+func JoinErrors[R interface{ failure() error }](results []R) error {
 	var errs []error
 	for _, r := range results {
-		if r.Err != nil {
-			errs = append(errs, r.Err)
+		if err := r.failure(); err != nil {
+			errs = append(errs, err)
 		}
 	}
 	return errors.Join(errs...)

@@ -20,7 +20,6 @@ import (
 
 	"bfdn/internal/jobstore"
 	"bfdn/internal/sim"
-	"bfdn/internal/sweep"
 )
 
 // JobStore is a persistent, crash-safe store of resumable jobs: sweeps,
@@ -52,20 +51,12 @@ func (js *JobStore) Jobs() ([]JobInfo, error) { return js.s.Jobs() }
 // facade).
 func (js *JobStore) Store() *jobstore.Store { return js.s }
 
-// planRef is the canonical JSON plan stored in a job's manifest when the
-// caller did not supply plan bytes of its own: a fingerprint over everything
-// that determines the run's output.
-type planRef struct {
-	Fingerprint string `json:"fingerprint"`
-}
-
-// fingerprintPlan folds h into manifest-ready JSON plan bytes.
+// fingerprintPlan is the canonical JSON plan stored in a job's manifest when
+// the caller did not supply plan bytes of its own: {"fingerprint":"<hex>"},
+// the first 16 bytes of a hash over everything that determines the run's
+// output.
 func fingerprintPlan(sum []byte) []byte {
-	b, err := json.Marshal(planRef{Fingerprint: fmt.Sprintf("%x", sum[:16])})
-	if err != nil {
-		panic(err) // unreachable: planRef always marshals
-	}
-	return b
+	return fmt.Appendf(nil, `{"fingerprint":"%x"}`, sum[:16])
 }
 
 // hashTree writes the tree's parent array — its full identity — into h.
@@ -80,33 +71,35 @@ func hashTree(h io.Writer, t *Tree) {
 	}
 }
 
-// sweepPlanBytes derives the default plan identity of a sweep: base seed,
-// index base, and every point's tree, k, algorithm and ℓ.
-func sweepPlanBytes(points []SweepPoint, baseSeed, indexBase uint64) []byte {
+// sweepPlanBytes derives the default plan identity of a sweep of the given
+// kind: base seed, index base, and every point as hashPoint writes it.
+func sweepPlanBytes[P any](kind string, points []P, baseSeed, indexBase uint64, hashPoint func(io.Writer, P)) []byte {
 	h := sha256.New()
-	fmt.Fprintf(h, "sweep\x00%d\x00%d\x00%d\x00", baseSeed, indexBase, len(points))
+	fmt.Fprintf(h, "%s\x00%d\x00%d\x00%d\x00", kind, baseSeed, indexBase, len(points))
 	for _, p := range points {
-		hashTree(h, p.Tree)
-		fmt.Fprintf(h, "%d\x00%d\x00%d\x00", p.K, int(p.Algorithm), p.Ell)
+		hashPoint(h, p)
 	}
 	return fingerprintPlan(h.Sum(nil))
 }
 
-// asyncSweepPlanBytes is sweepPlanBytes for continuous-time grids.
-func asyncSweepPlanBytes(points []AsyncSweepPoint, baseSeed, indexBase uint64) []byte {
-	h := sha256.New()
-	fmt.Fprintf(h, "asyncsweep\x00%d\x00%d\x00%d\x00", baseSeed, indexBase, len(points))
-	for _, p := range points {
-		hashTree(h, p.Tree)
-		fmt.Fprintf(h, "%d\x00", len(p.Speeds))
-		for _, s := range p.Speeds {
-			var buf [8]byte
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(s))
-			h.Write(buf[:])
-		}
-		fmt.Fprintf(h, "%d\x00%s\x00", int(p.Algorithm), p.Latency)
+// hashSweepPoint writes a round-engine point's identity: tree, k,
+// algorithm and ℓ.
+func hashSweepPoint(h io.Writer, p SweepPoint) {
+	hashTree(h, p.Tree)
+	fmt.Fprintf(h, "%d\x00%d\x00%d\x00", p.K, int(p.Algorithm), p.Ell)
+}
+
+// hashAsyncSweepPoint writes a continuous-time point's identity: tree,
+// fleet speeds, algorithm and latency model.
+func hashAsyncSweepPoint(h io.Writer, p AsyncSweepPoint) {
+	hashTree(h, p.Tree)
+	fmt.Fprintf(h, "%d\x00", len(p.Speeds))
+	for _, s := range p.Speeds {
+		var buf [8]byte
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(s))
+		h.Write(buf[:])
 	}
-	return fingerprintPlan(h.Sum(nil))
+	fmt.Fprintf(h, "%d\x00%s\x00", int(p.Algorithm), p.Latency)
 }
 
 // explorePlanBytes derives the plan identity of a checkpointed exploration:
@@ -120,20 +113,14 @@ func explorePlanBytes(t *Tree, k int, cfg config) []byte {
 	return fingerprintPlan(h.Sum(nil))
 }
 
-// pointRecord is one WAL entry of a journaled sweep: the settled point's
-// global index and its report. Only successes are journaled — failed points
-// re-run deterministically on resume.
-type pointRecord struct {
-	T      string  `json:"t"`
-	I      int     `json:"i"`
-	Report *Report `json:"report"`
-}
-
-// asyncPointRecord is pointRecord for continuous-time sweeps.
-type asyncPointRecord struct {
-	T      string       `json:"t"`
-	I      int          `json:"i"`
-	Report *AsyncReport `json:"report"`
+// pointRecord is one WAL entry of a journaled sweep on either engine: the
+// settled point's global index and its report (a Report or an AsyncReport).
+// Only successes are journaled — failed points re-run deterministically on
+// resume.
+type pointRecord[Rep any] struct {
+	T      string `json:"t"`
+	I      int    `json:"i"`
+	Report *Rep   `json:"report"`
 }
 
 // reportRecord is the terminal WAL entry of a checkpointed exploration.
@@ -142,57 +129,46 @@ type reportRecord struct {
 	Report *Report `json:"report"`
 }
 
-// runJournaledSweep executes a sweep against a job store: cached points are
-// replayed from the WAL (in index order, before any fresh result), missing
-// points run with their original global seed indices, and every fresh
-// success is journaled before it is delivered. The job is marked done once
-// every point has succeeded.
-func runJournaledSweep(ctx context.Context, points []SweepPoint, pts []sweep.Point,
-	pointBounds []float64, onResult func(int, SweepResult), cfg *engineConfig) (SweepStats, error) {
-	plan := cfg.plan
-	if plan == nil {
-		plan = sweepPlanBytes(points, cfg.opt.BaseSeed, cfg.opt.IndexBase)
-	}
-	job, existed, err := openPlan(cfg.store, "sweep", plan, cfg.resume)
+// runJournaled executes a sweep of n points against cfg's job store, under
+// the plan cfg.plan: cached points are replayed from the WAL (in index
+// order, before any fresh result), missing points run with their original
+// global seed indices, and every fresh success is journaled before it is
+// delivered. The job is marked done once every point has succeeded.
+func runJournaled[Rep any](ctx context.Context, cfg *engineConfig, kind string, n int,
+	exec sweepExec[Rep], settle func(int, Rep, error)) (SweepStats, error) {
+	job, _, err := cfg.store.s.OpenOrCreate(kind, cfg.plan)
 	if err != nil {
 		return SweepStats{}, err
 	}
-	_ = existed
-	cached := make(map[int]*Report)
+	cached := make(map[int]*Rep)
 	raws, err := job.Replay()
 	if err != nil {
 		return SweepStats{}, fmt.Errorf("bfdn: job %s: %w", job.ID(), err)
 	}
 	for _, raw := range raws {
-		var rec pointRecord
+		var rec pointRecord[Rep]
 		if err := json.Unmarshal(raw, &rec); err != nil {
 			return SweepStats{}, fmt.Errorf("bfdn: job %s: corrupt journal record: %w", job.ID(), err)
 		}
-		if rec.T == "point" && rec.I >= 0 && rec.I < len(points) && rec.Report != nil {
+		if rec.T == "point" && rec.I >= 0 && rec.I < n && rec.Report != nil {
 			cached[rec.I] = rec.Report
 		}
 	}
-	if onResult != nil {
-		for i := range points {
-			if r, ok := cached[i]; ok {
-				onResult(i, SweepResult{Report: *r})
-			}
-		}
-	}
 	var (
-		freshPts []sweep.Point
-		origIdx  []int
-		seedIdx  []uint64
+		sel     []int
+		seedIdx []uint64
 	)
-	for i := range pts {
-		if _, ok := cached[i]; ok {
+	for i := 0; i < n; i++ {
+		if r, ok := cached[i]; ok {
+			if settle != nil {
+				settle(i, *r, nil)
+			}
 			continue
 		}
-		freshPts = append(freshPts, pts[i])
-		origIdx = append(origIdx, i)
+		sel = append(sel, i)
 		seedIdx = append(seedIdx, cfg.opt.IndexBase+uint64(i))
 	}
-	if len(freshPts) == 0 {
+	if len(sel) == 0 {
 		if err := job.MarkDone(); err != nil {
 			return SweepStats{}, err
 		}
@@ -202,11 +178,9 @@ func runJournaledSweep(ctx context.Context, points []SweepPoint, pts []sweep.Poi
 	opt.SeedIndices = seedIdx
 	var mu sync.Mutex
 	var journalErr error
-	opt.OnResult = func(r sweep.Result) {
-		gi := origIdx[r.Point]
-		res := convertSweepResult(points[gi], pointBounds[gi], r)
-		if res.Err == nil {
-			if err := job.Append(pointRecord{T: "point", I: gi, Report: &res.Report}); err != nil {
+	stats := convertSweepStats(exec(ctx, opt, sel, func(i int, rep Rep, err error) {
+		if err == nil {
+			if err := job.Append(pointRecord[Rep]{T: "point", I: i, Report: &rep}); err != nil {
 				mu.Lock()
 				if journalErr == nil {
 					journalErr = err
@@ -214,127 +188,26 @@ func runJournaledSweep(ctx context.Context, points []SweepPoint, pts []sweep.Poi
 				mu.Unlock()
 			}
 		}
-		if onResult != nil {
-			onResult(gi, res)
+		if settle != nil {
+			settle(i, rep, err)
 		}
-	}
-	_, stats := sweep.RunContext(ctx, freshPts, opt)
+	}))
 	if journalErr != nil {
-		return convertSweepStats(stats), fmt.Errorf("bfdn: job %s: journal append: %w", job.ID(), journalErr)
+		return stats, fmt.Errorf("bfdn: job %s: journal append: %w", job.ID(), journalErr)
 	}
 	if stats.Errors == 0 {
 		if err := job.MarkDone(); err != nil {
-			return convertSweepStats(stats), err
+			return stats, err
 		}
 	}
-	return convertSweepStats(stats), nil
-}
-
-// runJournaledAsyncSweep is runJournaledSweep for continuous-time grids;
-// resume granularity is the point (the async engine's event heap holds an
-// unserializable randomness stream, so points re-run whole — DESIGN.md S30).
-func runJournaledAsyncSweep(ctx context.Context, points []AsyncSweepPoint, pts []sweep.AsyncPoint,
-	onResult func(int, AsyncSweepResult), cfg *asyncEngineConfig) (SweepStats, error) {
-	plan := cfg.plan
-	if plan == nil {
-		plan = asyncSweepPlanBytes(points, cfg.opt.BaseSeed, cfg.opt.IndexBase)
-	}
-	job, _, err := openPlan(cfg.store, "asyncsweep", plan, cfg.resume)
-	if err != nil {
-		return SweepStats{}, err
-	}
-	cached := make(map[int]*AsyncReport)
-	raws, err := job.Replay()
-	if err != nil {
-		return SweepStats{}, fmt.Errorf("bfdn: job %s: %w", job.ID(), err)
-	}
-	for _, raw := range raws {
-		var rec asyncPointRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return SweepStats{}, fmt.Errorf("bfdn: job %s: corrupt journal record: %w", job.ID(), err)
-		}
-		if rec.T == "point" && rec.I >= 0 && rec.I < len(points) && rec.Report != nil {
-			cached[rec.I] = rec.Report
-		}
-	}
-	if onResult != nil {
-		for i := range points {
-			if r, ok := cached[i]; ok {
-				onResult(i, AsyncSweepResult{Report: *r})
-			}
-		}
-	}
-	var (
-		freshPts []sweep.AsyncPoint
-		origIdx  []int
-		seedIdx  []uint64
-	)
-	for i := range pts {
-		if _, ok := cached[i]; ok {
-			continue
-		}
-		freshPts = append(freshPts, pts[i])
-		origIdx = append(origIdx, i)
-		seedIdx = append(seedIdx, cfg.opt.IndexBase+uint64(i))
-	}
-	if len(freshPts) == 0 {
-		if err := job.MarkDone(); err != nil {
-			return SweepStats{}, err
-		}
-		return SweepStats{}, nil
-	}
-	opt := cfg.opt
-	opt.SeedIndices = seedIdx
-	var mu sync.Mutex
-	var journalErr error
-	opt.OnResult = func(r sweep.AsyncResult) {
-		gi := origIdx[r.Point]
-		res := convertAsyncResult(points[gi], r)
-		if res.Err == nil {
-			if err := job.Append(asyncPointRecord{T: "point", I: gi, Report: &res.Report}); err != nil {
-				mu.Lock()
-				if journalErr == nil {
-					journalErr = err
-				}
-				mu.Unlock()
-			}
-		}
-		if onResult != nil {
-			onResult(gi, res)
-		}
-	}
-	_, stats := sweep.RunAsyncContext(ctx, freshPts, opt)
-	if journalErr != nil {
-		return convertSweepStats(stats), fmt.Errorf("bfdn: job %s: journal append: %w", job.ID(), journalErr)
-	}
-	if stats.Errors == 0 {
-		if err := job.MarkDone(); err != nil {
-			return convertSweepStats(stats), err
-		}
-	}
-	return convertSweepStats(stats), nil
-}
-
-// openPlan opens (or, for resume, requires) the job with the given plan.
-func openPlan(js *JobStore, kind string, plan []byte, requireExisting bool) (*jobstore.Job, bool, error) {
-	if requireExisting {
-		id := jobstore.PlanID(kind, plan)
-		job, err := js.s.Get(id)
-		if err != nil {
-			return nil, false, fmt.Errorf("bfdn: resume: job %s (%s) not in store: %w", id, kind, err)
-		}
-		return job, true, nil
-	}
-	job, existed, err := js.s.OpenOrCreate(kind, plan)
-	return job, existed, err
+	return stats, nil
 }
 
 // exploreCheckpointed is the WithCheckpoint path of ExploreContext: restore
 // the latest snapshot if one exists, run with periodic checkpointing, and
 // journal the final report so a completed job replays without simulating.
 func exploreCheckpointed(ctx context.Context, t *Tree, k int, cfg config) (*Report, error) {
-	plan := explorePlanBytes(t, k, cfg)
-	job, _, err := openPlan(cfg.store, "explore", plan, cfg.resume)
+	job, _, err := cfg.store.s.OpenOrCreate("explore", explorePlanBytes(t, k, cfg))
 	if err != nil {
 		return nil, err
 	}
@@ -355,13 +228,9 @@ func exploreCheckpointed(ctx context.Context, t *Tree, k int, cfg config) (*Repo
 	if err != nil {
 		return nil, err
 	}
-	w, err := sim.NewWorld(t.t, k)
+	w, err := newWorld(t, k, cfg)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.progress != nil {
-		f := cfg.progress
-		w.SetObserver(func(p sim.Progress) { f(Progress(p)) })
 	}
 	var events []sim.ExploreEvent
 	if state, ok, err := job.LoadSnapshot(); err != nil {
@@ -380,83 +249,12 @@ func exploreCheckpointed(ctx context.Context, t *Tree, k int, cfg config) (*Repo
 	if err != nil {
 		return nil, err
 	}
-	rep := &Report{
-		Rounds:            res.Rounds,
-		Moves:             res.Moves,
-		EdgeExplorations:  res.EdgeExplorations,
-		Bound:             bound,
-		OfflineLowerBound: OfflineLowerBound(t.N(), t.Depth(), k),
-		FullyExplored:     res.FullyExplored,
-		AllAtRoot:         res.AllAtRoot,
-	}
-	if err := job.Append(reportRecord{T: "report", Report: rep}); err != nil {
+	rep := simReport(t, k, res, bound)
+	if err := job.Append(reportRecord{T: "report", Report: &rep}); err != nil {
 		return nil, fmt.Errorf("bfdn: job %s: journal append: %w", job.ID(), err)
 	}
 	if err := job.MarkDone(); err != nil {
 		return nil, err
 	}
-	return rep, nil
-}
-
-// ResumeExplore re-runs a checkpointed exploration strictly from the store:
-// the job (identified by tree, k, and options — the same content address
-// WithCheckpoint computes) must already exist, and the run continues from
-// its latest snapshot, or returns the journaled report if it completed.
-// A byte-identical WithCheckpoint option set must be supplied so the plan
-// hash matches.
-func ResumeExplore(ctx context.Context, t *Tree, k int, opts ...Option) (*Report, error) {
-	cfg := defaultConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.store == nil {
-		return nil, fmt.Errorf("bfdn: ResumeExplore requires WithCheckpoint")
-	}
-	if cfg.schedule != nil {
-		return nil, fmt.Errorf("bfdn: checkpointed explorations do not support break-down schedules")
-	}
-	cfg.resume = true
-	return exploreCheckpointed(ctx, t, k, cfg)
-}
-
-// ResumeSweep is ResumeSweepStream collecting results in point order.
-func ResumeSweep(ctx context.Context, points []SweepPoint, workers int, seed int64, engineOpts ...EngineOption) ([]SweepResult, SweepStats, error) {
-	out := make([]SweepResult, len(points))
-	stats, err := ResumeSweepStream(ctx, points, workers, seed, func(i int, r SweepResult) {
-		out[i] = r
-	}, engineOpts...)
-	if err != nil {
-		return nil, SweepStats{}, err
-	}
-	return out, stats, nil
-}
-
-// ResumeSweepStream is SweepStream in strict-resume mode: WithJobStore is
-// required, the job (content-addressed from the points, seed and index
-// base) must already exist in the store, and only the points missing from
-// its journal are executed — each with its original global seed index, so
-// the combined output is byte-identical to the uninterrupted run.
-func ResumeSweepStream(ctx context.Context, points []SweepPoint, workers int, seed int64, onResult func(index int, res SweepResult), engineOpts ...EngineOption) (SweepStats, error) {
-	engineOpts = append(engineOpts, func(c *engineConfig) { c.resume = true })
-	return SweepStream(ctx, points, workers, seed, onResult, engineOpts...)
-}
-
-// ResumeSweepAsync is ResumeSweepAsyncStream collecting results in point
-// order.
-func ResumeSweepAsync(ctx context.Context, points []AsyncSweepPoint, workers int, seed int64, engineOpts ...AsyncEngineOption) ([]AsyncSweepResult, SweepStats, error) {
-	out := make([]AsyncSweepResult, len(points))
-	stats, err := ResumeSweepAsyncStream(ctx, points, workers, seed, func(i int, r AsyncSweepResult) {
-		out[i] = r
-	}, engineOpts...)
-	if err != nil {
-		return nil, SweepStats{}, err
-	}
-	return out, stats, nil
-}
-
-// ResumeSweepAsyncStream is SweepAsyncStream in strict-resume mode,
-// mirroring ResumeSweepStream.
-func ResumeSweepAsyncStream(ctx context.Context, points []AsyncSweepPoint, workers int, seed int64, onResult func(index int, res AsyncSweepResult), engineOpts ...AsyncEngineOption) (SweepStats, error) {
-	engineOpts = append(engineOpts, func(c *asyncEngineConfig) { c.resume = true })
-	return SweepAsyncStream(ctx, points, workers, seed, onResult, engineOpts...)
+	return &rep, nil
 }

@@ -22,76 +22,30 @@ func testGrid(t *testing.T) []SweepPoint {
 	return pts
 }
 
-// TestSweepResumeByteIdentity interrupts a journaled sweep after its first
-// settled point and resumes it; the merged results must deep-equal an
-// uninterrupted run's, and the job must finish marked done.
-func TestSweepResumeByteIdentity(t *testing.T) {
-	points := testGrid(t)
-	want, _, err := Sweep(points, 2, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	js, err := OpenJobStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	var mu sync.Mutex
-	settled := 0
-	_, err = SweepStream(ctx, points, 2, 99, func(i int, r SweepResult) {
-		mu.Lock()
-		settled++
-		if settled == 1 {
-			cancel() // crash after the first point lands in the journal
-		}
-		mu.Unlock()
-	}, WithJobStore(js))
-	cancel()
-	if err != nil {
-		t.Fatalf("interrupted sweep: %v", err)
-	}
-
-	jobs, err := js.Jobs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(jobs) != 1 || jobs[0].Done {
-		t.Fatalf("after interruption want one unfinished job, got %+v", jobs)
-	}
-	if jobs[0].Records == 0 || jobs[0].Records >= len(points) {
-		t.Fatalf("want partial journal, got %d/%d records", jobs[0].Records, len(points))
-	}
-
-	got, _, err := ResumeSweep(context.Background(), points, 2, 99, WithJobStore(js))
-	if err != nil {
-		t.Fatalf("resume: %v", err)
-	}
-	for i := range want {
-		if want[i].Err != nil || got[i].Err != nil {
-			t.Fatalf("point %d errored: want %v, got %v", i, want[i].Err, got[i].Err)
-		}
-		if !reflect.DeepEqual(got[i].Report, want[i].Report) {
-			t.Fatalf("point %d differs after resume:\n got %+v\nwant %+v", i, got[i].Report, want[i].Report)
-		}
-	}
-	jobs, _ = js.Jobs()
-	if len(jobs) != 1 || !jobs[0].Done {
-		t.Fatalf("after resume want one done job, got %+v", jobs)
-	}
-
-	// A third run replays everything from the journal without simulating.
-	stats, err := ResumeSweepStream(context.Background(), points, 2, 99, nil, WithJobStore(js))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Points != 0 {
-		t.Fatalf("done job re-ran %d points", stats.Points)
-	}
+// resumeCase is one engine's grid for TestSweepResumeByteIdentity. sweep
+// runs the grid with opts, calling settled (when non-nil) after each point
+// settles, and returns every point's report and error.
+type resumeCase struct {
+	name   string
+	points int
+	sweep  func(ctx context.Context, settled func(), opts ...EngineOption) ([]any, []error, SweepStats, error)
 }
 
-// TestAsyncSweepResumeByteIdentity is the continuous-time variant.
-func TestAsyncSweepResumeByteIdentity(t *testing.T) {
+func syncResumeCase(t *testing.T) resumeCase {
+	points := testGrid(t)
+	return resumeCase{"sync", len(points), func(ctx context.Context, settled func(), opts ...EngineOption) ([]any, []error, SweepStats, error) {
+		reps, errs := make([]any, len(points)), make([]error, len(points))
+		stats, err := SweepStream(ctx, points, 2, 99, func(i int, r SweepResult) {
+			reps[i], errs[i] = r.Report, r.Err
+			if settled != nil {
+				settled()
+			}
+		}, opts...)
+		return reps, errs, stats, err
+	}}
+}
+
+func asyncResumeCase(t *testing.T) resumeCase {
 	tr, err := GenerateTree(FamilyRandom, 150, 8, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -102,36 +56,81 @@ func TestAsyncSweepResumeByteIdentity(t *testing.T) {
 			Tree: tr, Speeds: []float64{1, 1.5, 0.5}, Latency: "jitter:0.3",
 		})
 	}
-	want, _, err := SweepAsync(points, 2, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	return resumeCase{"async", len(points), func(ctx context.Context, settled func(), opts ...EngineOption) ([]any, []error, SweepStats, error) {
+		reps, errs := make([]any, len(points)), make([]error, len(points))
+		stats, err := SweepAsyncStream(ctx, points, 2, 7, func(i int, r AsyncSweepResult) {
+			reps[i], errs[i] = r.Report, r.Err
+			if settled != nil {
+				settled()
+			}
+		}, opts...)
+		return reps, errs, stats, err
+	}}
+}
 
-	js, err := OpenJobStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	var once sync.Once
-	_, err = SweepAsyncStream(ctx, points, 2, 7, func(i int, r AsyncSweepResult) {
-		once.Do(cancel)
-	}, WithAsyncJobStore(js))
-	cancel()
-	if err != nil {
-		t.Fatalf("interrupted async sweep: %v", err)
-	}
+// TestSweepResumeByteIdentity interrupts a journaled sweep after its first
+// settled point and resumes it by re-running it against the same store, on
+// both engines; the merged results must deep-equal an uninterrupted run's,
+// the job must finish marked done, and a further run must replay every
+// point from the journal without simulating.
+func TestSweepResumeByteIdentity(t *testing.T) {
+	for _, c := range []resumeCase{syncResumeCase(t), asyncResumeCase(t)} {
+		t.Run(c.name, func(t *testing.T) {
+			want, wantErrs, _, err := c.sweep(context.Background(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	got, _, err := ResumeSweepAsync(context.Background(), points, 2, 7, WithAsyncJobStore(js))
-	if err != nil {
-		t.Fatalf("resume: %v", err)
-	}
-	for i := range want {
-		if want[i].Err != nil || got[i].Err != nil {
-			t.Fatalf("point %d errored: want %v, got %v", i, want[i].Err, got[i].Err)
-		}
-		if !reflect.DeepEqual(got[i].Report, want[i].Report) {
-			t.Fatalf("point %d differs after resume:\n got %+v\nwant %+v", i, got[i].Report, want[i].Report)
-		}
+			js, err := OpenJobStore(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			var once sync.Once
+			// Crash after the first point lands in the journal.
+			_, _, _, err = c.sweep(ctx, func() { once.Do(cancel) }, WithJobStore(js))
+			cancel()
+			if err != nil {
+				t.Fatalf("interrupted sweep: %v", err)
+			}
+
+			jobs, err := js.Jobs()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(jobs) != 1 || jobs[0].Done {
+				t.Fatalf("after interruption want one unfinished job, got %+v", jobs)
+			}
+			if jobs[0].Records == 0 || jobs[0].Records >= c.points {
+				t.Fatalf("want partial journal, got %d/%d records", jobs[0].Records, c.points)
+			}
+
+			got, gotErrs, _, err := c.sweep(context.Background(), nil, WithJobStore(js))
+			if err != nil {
+				t.Fatalf("resume: %v", err)
+			}
+			for i := range want {
+				if wantErrs[i] != nil || gotErrs[i] != nil {
+					t.Fatalf("point %d errored: want %v, got %v", i, wantErrs[i], gotErrs[i])
+				}
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Fatalf("point %d differs after resume:\n got %+v\nwant %+v", i, got[i], want[i])
+				}
+			}
+			jobs, _ = js.Jobs()
+			if len(jobs) != 1 || !jobs[0].Done {
+				t.Fatalf("after resume want one done job, got %+v", jobs)
+			}
+
+			// A third run replays everything from the journal without simulating.
+			_, _, stats, err := c.sweep(context.Background(), nil, WithJobStore(js))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Points != 0 {
+				t.Fatalf("done job re-ran %d points", stats.Points)
+			}
+		})
 	}
 }
 
@@ -172,7 +171,7 @@ func TestExploreCheckpointResume(t *testing.T) {
 		t.Fatalf("after kill want one unfinished job, got %+v", jobs)
 	}
 
-	got, err := ResumeExplore(context.Background(), tr, 4, WithCheckpoint(js, 5))
+	got, err := ExploreContext(context.Background(), tr, 4, WithCheckpoint(js, 5))
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
@@ -181,31 +180,11 @@ func TestExploreCheckpointResume(t *testing.T) {
 	}
 
 	// Done job: replayed from the journal, byte-identical again.
-	again, err := ResumeExplore(context.Background(), tr, 4, WithCheckpoint(js, 5))
+	again, err := ExploreContext(context.Background(), tr, 4, WithCheckpoint(js, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(again, want) {
 		t.Fatalf("journaled report differs:\n got %+v\nwant %+v", again, want)
-	}
-}
-
-// TestResumeRequiresExistingJob: strict-resume entry points refuse plans the
-// store has never seen (the stale-checkpoint taxonomy row of OPERATIONS.md).
-func TestResumeRequiresExistingJob(t *testing.T) {
-	js, err := OpenJobStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	points := testGrid(t)[:2]
-	if _, _, err := ResumeSweep(context.Background(), points, 1, 3, WithJobStore(js)); err == nil {
-		t.Fatal("ResumeSweep accepted an unknown plan")
-	}
-	tr := points[0].Tree
-	if _, err := ResumeExplore(context.Background(), tr, 2, WithCheckpoint(js, 4)); err == nil {
-		t.Fatal("ResumeExplore accepted an unknown plan")
-	}
-	if _, err := ResumeExplore(context.Background(), tr, 2); err == nil {
-		t.Fatal("ResumeExplore without WithCheckpoint did not error")
 	}
 }
