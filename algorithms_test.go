@@ -1,6 +1,9 @@
 package bfdn
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -96,11 +99,17 @@ func TestAlgorithmInvariants(t *testing.T) {
 	const k = 8
 	for _, a := range Algorithms() {
 		t.Run(a.String(), func(t *testing.T) {
+			h := sha256.New()
 			for _, tr := range invariantTrees(t) {
 				rep, trace, err := ExploreTraced(tr, k, 1, WithAlgorithm(a))
 				if err != nil {
 					t.Fatalf("%s: %v", tr, err)
 				}
+				b, err := json.Marshal(rep)
+				if err != nil {
+					t.Fatal(err)
+				}
+				h.Write(b)
 				if !rep.FullyExplored || !rep.AllAtRoot {
 					t.Fatalf("%s: explored=%v home=%v", tr, rep.FullyExplored, rep.AllAtRoot)
 				}
@@ -132,8 +141,25 @@ func TestAlgorithmInvariants(t *testing.T) {
 					t.Errorf("%s: final frame explored %d of %d", tr, last, tr.N())
 				}
 			}
+			if got, want := hex.EncodeToString(h.Sum(nil)), reportPins[a]; got != want {
+				t.Errorf("SHA-256 of the JSON reports = %s, want %s", got, want)
+			}
 		})
 	}
+}
+
+// reportPins is the SHA-256 of each algorithm's JSON reports on the three
+// invariant trees, in invariantTrees order. The worker-invariance and
+// snapshot suites compare a build with itself; these pins catch a change
+// in any algorithm's decisions against the recorded behaviour.
+var reportPins = map[Algorithm]string{
+	BFDN:          "653d2913c6e7f604038fe55eea40d183c0bcb2c5d9d74d97defe5c9d44eb4317",
+	BFDNRecursive: "7b307495984c6bcd55afe5220cc5ebcde63b89f961daa7230bc7bcc4c65d6c69",
+	CTE:           "fe4c03265ab58bcfb348a0e2b5ad14fbcf773991469a3558bf704d30c34cf670",
+	DFS:           "5e1d845d63c3351edb2a9baf6ae909b97a40a9ad0228aacb61b919e450ae0aa8",
+	Levelwise:     "fbd24e1c410edd052599020714f20d4b3d08c8866d12f9d4de488e2031bb6987",
+	TreeMining:    "ca98f15f5dabd67fd94633370fd3a86c2a512ca38063329e0f510646c98c5d27",
+	Potential:     "54848b3fc992ac9b0bdb227ea981d13ca31fbac2ac3f8827ed3898e157cbe556",
 }
 
 // TestAlgorithmSweepWorkerInvariance requires byte-identical sweep results
