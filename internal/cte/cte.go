@@ -19,14 +19,15 @@ import (
 	"slices"
 
 	"bfdn/internal/sim"
+	"bfdn/internal/snap"
 	"bfdn/internal/tree"
 )
 
 // CTE is the algorithm state. It implements sim.Algorithm.
 type CTE struct {
 	k int
-	// open[v] counts dangling edges in T(v) (maintained from explore events).
-	open nodeCounts
+	// open counts the dangling edges in each explored subtree T(v).
+	open sim.OpenLedger
 	// scratch buffers reused across rounds: moves is the returned move
 	// vector; ents is the robots-sorted-by-position grouping (replacing the
 	// map[NodeID][]int that was rebuilt — one allocation per occupied node —
@@ -34,7 +35,6 @@ type CTE struct {
 	moves   []sim.Move
 	ents    posEntries
 	targets []target
-	seeded  bool
 }
 
 // posEntry packs a robot's position and id into one uint64 (pos<<32 | id,
@@ -63,25 +63,6 @@ type target struct {
 
 var _ sim.Algorithm = (*CTE)(nil)
 
-// nodeCounts is a growable int32 slice indexed by NodeID.
-type nodeCounts struct {
-	vals []int32
-}
-
-func (g *nodeCounts) get(v tree.NodeID) int32 {
-	if int(v) >= len(g.vals) {
-		return 0
-	}
-	return g.vals[v]
-}
-
-func (g *nodeCounts) add(v tree.NodeID, d int32) {
-	for int(v) >= len(g.vals) {
-		g.vals = append(g.vals, 0)
-	}
-	g.vals[v] += d
-}
-
 // New returns a CTE instance for k robots.
 func New(k int) *CTE {
 	return &CTE{
@@ -105,35 +86,14 @@ func (c *CTE) Reset(k int) {
 	for i := range c.moves {
 		c.moves[i] = sim.Move{}
 	}
-	for i := range c.open.vals {
-		c.open.vals[i] = 0
-	}
+	c.open.Reset()
 	c.ents = c.ents[:0]
 	c.targets = c.targets[:0]
-	c.seeded = false
 }
 
 // SelectMoves implements sim.Algorithm.
 func (c *CTE) SelectMoves(v *sim.View, events []sim.ExploreEvent) ([]sim.Move, error) {
-	if !c.seeded {
-		c.open.add(tree.Root, int32(v.DanglingAt(tree.Root)))
-		c.seeded = true
-	}
-	// Maintain the per-subtree dangling counts: discovering child with m
-	// hidden children consumes one dangling edge at the parent and adds m at
-	// the child, i.e. +m at the child and (m−1) along all ancestors.
-	for _, e := range events {
-		c.open.add(e.Child, int32(e.NewDangling))
-		delta := int32(e.NewDangling - 1)
-		if delta != 0 {
-			for u := e.Parent; ; u = v.Parent(u) {
-				c.open.add(u, delta)
-				if u == tree.Root {
-					break
-				}
-			}
-		}
-	}
+	c.open.Update(v, events)
 
 	// Group robots by position: sort (position, robot) pairs in reusable
 	// scratch and walk the runs of equal position. Groups are disjoint by
@@ -162,7 +122,7 @@ func (c *CTE) SelectMoves(v *sim.View, events []sim.ExploreEvent) ([]sim.Move, e
 
 // decideGroup assigns this round's moves for the robots located at node.
 func (c *CTE) decideGroup(v *sim.View, node tree.NodeID, robots []posEntry) error {
-	if c.open.get(node) == 0 {
+	if c.open.Open(node) == 0 {
 		// Subtree fully explored: head home.
 		for _, e := range robots {
 			if node == tree.Root {
@@ -177,7 +137,7 @@ func (c *CTE) decideGroup(v *sim.View, node tree.NodeID, robots []posEntry) erro
 	// edges at node (one target per dangling edge, shared tickets).
 	c.targets = c.targets[:0]
 	for _, ch := range v.ExploredChildren(node) {
-		if c.open.get(ch) > 0 {
+		if c.open.Open(ch) > 0 {
 			c.targets = append(c.targets, target{kind: sim.Down, child: ch})
 		}
 	}
@@ -210,6 +170,15 @@ func (c *CTE) decideGroup(v *sim.View, node tree.NodeID, robots []posEntry) erro
 	}
 	return nil
 }
+
+// SnapshotState implements sim.Snapshotter (DESIGN.md S30). CTE's only
+// cross-round memory is its open-edge ledger; the grouping and target
+// buffers are rebuilt from the view every round and are skipped.
+func (c *CTE) SnapshotState(e *snap.Encoder) { c.open.Snapshot(e, c.k) }
+
+// RestoreState implements sim.Snapshotter; c must have been constructed (or
+// Reset) for the snapshot's robot count.
+func (c *CTE) RestoreState(d *snap.Decoder) error { return c.open.Restore(d, c.k) }
 
 // NewAlgorithm is a convenience constructor mirroring core.NewAlgorithm.
 func NewAlgorithm(k int) *CTE { return New(k) }

@@ -30,26 +30,16 @@ import (
 	"math/rand"
 
 	"bfdn/internal/sim"
+	"bfdn/internal/snap"
 	"bfdn/internal/tree"
 )
 
 // Potential is the algorithm state. It implements sim.Algorithm.
 type Potential struct {
 	k int
-	// open[v] counts open (unexplored) edges in the subtree T(v), maintained
-	// incrementally from explore events exactly as in internal/cte.
-	open   nodeCounts
-	moves  []sim.Move
-	seeded bool
-
-	// Scratch for the batched ancestor update (DESIGN.md S31): per-node
-	// pending deltas, an on-path marker, and depth buckets for the
-	// deep-to-shallow propagation sweep. All three are empty between rounds
-	// (the sweep drains them), so Reset has nothing extra to clear beyond
-	// defensive zeroing.
-	pend    nodeCounts
-	onPath  []bool
-	byDepth [][]tree.NodeID
+	// open counts the open (unexplored) edges in each explored subtree T(v).
+	open  sim.OpenLedger
+	moves []sim.Move
 
 	// stack is the DFS slot resolver's descent path, rebuilt once per round
 	// and advanced monotonically through the round's slots; stack[d] is the
@@ -63,8 +53,9 @@ type Potential struct {
 	// advances, and the resolver's child scans skip the permanently closed
 	// prefix instead of re-walking it every round. A pure accelerator: it is
 	// not serialized (a restored run just rebuilds it lazily) and never
-	// changes which node a slot resolves to.
-	liveFrom nodeCounts
+	// changes which node a slot resolves to. It is grown each round to
+	// cover every node the ledger counts.
+	liveFrom []int32
 }
 
 // slotFrame is one level of the slot resolver's descent path: the node, the
@@ -79,47 +70,6 @@ type slotFrame struct {
 }
 
 var _ sim.Algorithm = (*Potential)(nil)
-
-// nodeCounts is a growable int32 slice indexed by NodeID.
-type nodeCounts struct {
-	vals []int32
-}
-
-func (g *nodeCounts) get(v tree.NodeID) int32 {
-	if int(v) >= len(g.vals) {
-		return 0
-	}
-	return g.vals[v]
-}
-
-func (g *nodeCounts) add(v tree.NodeID, d int32) {
-	if int(v) >= len(g.vals) {
-		g.grow(int(v) + 1)
-	}
-	g.vals[v] += d
-}
-
-func (g *nodeCounts) set(v tree.NodeID, x int32) {
-	if int(v) >= len(g.vals) {
-		g.grow(int(v) + 1)
-	}
-	g.vals[v] = x
-}
-
-// grow extends the slice to n entries in one step.
-func (g *nodeCounts) grow(n int) {
-	if cap(g.vals) >= n {
-		tail := g.vals[len(g.vals):n]
-		for i := range tail {
-			tail[i] = 0
-		}
-		g.vals = g.vals[:n]
-		return
-	}
-	vals := make([]int32, n, max(n, 2*cap(g.vals)))
-	copy(vals, g.vals)
-	g.vals = vals
-}
 
 // New returns a Potential-Function instance for k robots.
 func New(k int) *Potential {
@@ -156,37 +106,19 @@ func (p *Potential) Reset(k int) {
 	for i := range p.moves {
 		p.moves[i] = sim.Move{}
 	}
-	for i := range p.open.vals {
-		p.open.vals[i] = 0
-	}
-	// The propagation sweep leaves pend/onPath/byDepth drained after every
-	// round; re-zero them anyway so a Reset after an aborted (errored) round
-	// cannot leak state into the next run.
-	for i := range p.pend.vals {
-		p.pend.vals[i] = 0
-	}
-	for i := range p.liveFrom.vals {
-		p.liveFrom.vals[i] = 0
-	}
-	for i := range p.onPath {
-		p.onPath[i] = false
-	}
-	for d := range p.byDepth {
-		p.byDepth[d] = p.byDepth[d][:0]
-	}
+	p.open.Reset()
+	p.liveFrom = p.liveFrom[:0]
 	p.stack = p.stack[:0]
-	p.seeded = false
 }
 
 // SelectMoves implements sim.Algorithm.
 func (p *Potential) SelectMoves(v *sim.View, events []sim.ExploreEvent) ([]sim.Move, error) {
-	if !p.seeded {
-		p.open.add(tree.Root, int32(v.DanglingAt(tree.Root)))
-		p.seeded = true
+	p.open.Update(v, events)
+	for len(p.liveFrom) < len(p.open.Counts()) {
+		p.liveFrom = append(p.liveFrom, 0)
 	}
-	p.absorb(v, events)
 
-	m := int(p.open.get(tree.Root))
+	m := int(p.open.Open(tree.Root))
 	if m == 0 {
 		// Exploration done: climb home, stay at the root. A full round of
 		// stays ends the run.
@@ -238,67 +170,6 @@ func (p *Potential) SelectMoves(v *sim.View, events []sim.ExploreEvent) ([]sim.M
 	return p.moves, nil
 }
 
-// absorb folds the round's explore events into the per-subtree open-edge
-// counts: discovering a child with m hidden children consumes one open edge
-// at the parent and contributes m new ones at the child, i.e. +m at the
-// child and (m−1) on every ancestor of the parent. The ancestor walks of a
-// round share most of their root-ward path, so instead of walking each one,
-// the deltas are seeded at the parents and propagated deep-to-shallow
-// through depth buckets; paths merge at their LCAs and every ancestor is
-// touched once per round no matter how many events funnel through it.
-func (p *Potential) absorb(v *sim.View, events []sim.ExploreEvent) {
-	maxd := -1
-	for _, e := range events {
-		p.open.add(e.Child, int32(e.NewDangling))
-		delta := int32(e.NewDangling - 1)
-		if delta == 0 {
-			continue
-		}
-		par := e.Parent
-		p.pend.add(par, delta)
-		if int(par) >= len(p.onPath) {
-			p.onPath = append(p.onPath, make([]bool, int(par)+1-len(p.onPath))...)
-		}
-		if !p.onPath[par] {
-			p.onPath[par] = true
-			d := v.DepthOf(par)
-			for d >= len(p.byDepth) {
-				p.byDepth = append(p.byDepth, nil)
-			}
-			p.byDepth[d] = append(p.byDepth[d], par)
-			if d > maxd {
-				maxd = d
-			}
-		}
-	}
-	for d := maxd; d >= 1; d-- {
-		for _, u := range p.byDepth[d] {
-			delta := p.pend.vals[u]
-			p.pend.vals[u] = 0
-			p.onPath[u] = false
-			p.open.add(u, delta)
-			par := v.Parent(u)
-			p.pend.add(par, delta)
-			if int(par) >= len(p.onPath) {
-				p.onPath = append(p.onPath, make([]bool, int(par)+1-len(p.onPath))...)
-			}
-			if !p.onPath[par] {
-				p.onPath[par] = true
-				p.byDepth[d-1] = append(p.byDepth[d-1], par)
-			}
-		}
-		p.byDepth[d] = p.byDepth[d][:0]
-	}
-	if maxd >= 0 && len(p.byDepth) > 0 {
-		for _, u := range p.byDepth[0] { // the root, if any path reached it
-			p.open.add(u, p.pend.vals[u])
-			p.pend.vals[u] = 0
-			p.onPath[u] = false
-		}
-		p.byDepth[0] = p.byDepth[0][:0]
-	}
-}
-
 // advance moves the resolver's descent path to open-edge slot s (0 ≤ s <
 // open(root)) in the DFS preorder of the partially explored tree and
 // returns the explored node holding that dangling edge. Port order puts a
@@ -314,10 +185,9 @@ func (p *Potential) absorb(v *sim.View, events []sim.ExploreEvent) {
 // replaces cost O(D·branching) each.
 func (p *Potential) advance(v *sim.View, s int) (tree.NodeID, error) {
 	s32 := int32(s)
-	// Every node inspected below is explored, and every explored node has an
-	// open-count entry (absorb adds one even for zero new dangling edges), so
-	// the counts are read by direct index instead of the bounds-checked get.
-	vals := p.open.vals
+	// Every node inspected below is explored, and every explored node has a
+	// ledger entry and a liveFrom entry, so both are read by direct index.
+	vals := p.open.Counts()
 	// Climb: pop exhausted subtrees (root is never popped; s < open(root)).
 	for len(p.stack) > 1 {
 		f := &p.stack[len(p.stack)-1]
@@ -330,7 +200,7 @@ func (p *Potential) advance(v *sim.View, s int) (tree.NodeID, error) {
 	for {
 		f := &p.stack[len(p.stack)-1]
 		children := v.ExploredChildren(f.node)
-		lf := p.liveFrom.get(f.node)
+		lf := p.liveFrom[f.node]
 		if f.childIdx < lf {
 			// Children below the live cursor are permanently closed; they
 			// contribute nothing to childBase, so the jump is free.
@@ -339,7 +209,6 @@ func (p *Potential) advance(v *sim.View, s int) (tree.NodeID, error) {
 		// While the scan sits at the live cursor, every closed child it steps
 		// over joins the permanently closed prefix.
 		atLive := f.childIdx == lf
-		lf0 := lf
 		descended := false
 		for int(f.childIdx) < len(children) {
 			ch := children[f.childIdx]
@@ -360,9 +229,7 @@ func (p *Potential) advance(v *sim.View, s int) (tree.NodeID, error) {
 			f.childBase += w
 			f.childIdx++
 		}
-		if lf != lf0 {
-			p.liveFrom.add(f.node, lf-lf0)
-		}
+		p.liveFrom[f.node] = lf
 		if descended {
 			continue
 		}
@@ -392,6 +259,17 @@ func (p *Potential) stepTowards(v *sim.View, pos tree.NodeID) sim.Move {
 	}
 	return sim.Move{Kind: sim.Up}
 }
+
+// SnapshotState implements sim.Snapshotter (DESIGN.md S30). The Potential
+// Function Method is memoryless beyond its open-edge ledger (the potential
+// of arXiv:2311.01354 is a function of those counts alone), so the ledger
+// is the whole checkpoint; the move buffer is rewritten every round and the
+// resolver's stack and liveFrom cursor are rebuilt.
+func (p *Potential) SnapshotState(e *snap.Encoder) { p.open.Snapshot(e, p.k) }
+
+// RestoreState implements sim.Snapshotter; p must have been constructed (or
+// Reset) for the snapshot's robot count.
+func (p *Potential) RestoreState(d *snap.Decoder) error { return p.open.Restore(d, p.k) }
 
 // Recycle is the factory-reset hook for the sweep engine's algorithm-reuse
 // path (sweep.Point.ResetAlgorithm): it resets and returns the worker's

@@ -30,21 +30,20 @@ import (
 	"sort"
 
 	"bfdn/internal/sim"
+	"bfdn/internal/snap"
 	"bfdn/internal/tree"
 )
 
 // TreeMining is the algorithm state. It implements sim.Algorithm.
 type TreeMining struct {
 	k int
-	// open[v] counts open (unexplored) edges in the subtree T(v), maintained
-	// incrementally from explore events exactly as in internal/cte.
-	open nodeCounts
+	// open counts the open (unexplored) edges in each explored subtree T(v).
+	open sim.OpenLedger
 	// Reusable scratch: moves is the returned move vector; ents groups
 	// robots by position; targets is the per-team weighted destination list.
 	moves   []sim.Move
 	ents    posEntries
 	targets []target
-	seeded  bool
 }
 
 var _ sim.Algorithm = (*TreeMining)(nil)
@@ -75,25 +74,6 @@ type target struct {
 	ticket sim.Ticket
 	weight int
 	quota  int
-}
-
-// nodeCounts is a growable int32 slice indexed by NodeID.
-type nodeCounts struct {
-	vals []int32
-}
-
-func (g *nodeCounts) get(v tree.NodeID) int32 {
-	if int(v) >= len(g.vals) {
-		return 0
-	}
-	return g.vals[v]
-}
-
-func (g *nodeCounts) add(v tree.NodeID, d int32) {
-	for int(v) >= len(g.vals) {
-		g.vals = append(g.vals, 0)
-	}
-	g.vals[v] += d
 }
 
 // New returns a Tree-Mining instance for k robots.
@@ -135,35 +115,14 @@ func (t *TreeMining) Reset(k int) {
 	for i := range t.moves {
 		t.moves[i] = sim.Move{}
 	}
-	for i := range t.open.vals {
-		t.open.vals[i] = 0
-	}
+	t.open.Reset()
 	t.ents = t.ents[:0]
 	t.targets = t.targets[:0]
-	t.seeded = false
 }
 
 // SelectMoves implements sim.Algorithm.
 func (t *TreeMining) SelectMoves(v *sim.View, events []sim.ExploreEvent) ([]sim.Move, error) {
-	if !t.seeded {
-		t.open.add(tree.Root, int32(v.DanglingAt(tree.Root)))
-		t.seeded = true
-	}
-	// Maintain the per-subtree open-edge counts: discovering a child with m
-	// hidden children consumes one open edge at the parent and contributes m
-	// new ones at the child, i.e. +m at the child and (m−1) on all ancestors.
-	for _, e := range events {
-		t.open.add(e.Child, int32(e.NewDangling))
-		delta := int32(e.NewDangling - 1)
-		if delta != 0 {
-			for u := e.Parent; ; u = v.Parent(u) {
-				t.open.add(u, delta)
-				if u == tree.Root {
-					break
-				}
-			}
-		}
-	}
+	t.open.Update(v, events)
 
 	// Teams are the runs of equal position in the (position, robot) sort.
 	t.ents = t.ents[:0]
@@ -189,7 +148,7 @@ func (t *TreeMining) SelectMoves(v *sim.View, events []sim.ExploreEvent) ([]sim.
 // the team across the open subtrees and dangling edges below it in
 // proportion to their reserves, or climb home when the subtree is mined out.
 func (t *TreeMining) decideTeam(v *sim.View, node tree.NodeID, robots []posEntry) error {
-	if t.open.get(node) == 0 {
+	if t.open.Open(node) == 0 {
 		for _, e := range robots {
 			if node == tree.Root {
 				t.moves[e.id] = sim.Move{Kind: sim.Stay}
@@ -205,7 +164,7 @@ func (t *TreeMining) decideTeam(v *sim.View, node tree.NodeID, robots []posEntry
 	t.targets = t.targets[:0]
 	total := 0
 	for _, ch := range v.ExploredChildren(node) {
-		if w := int(t.open.get(ch)); w > 0 {
+		if w := int(t.open.Open(ch)); w > 0 {
 			t.targets = append(t.targets, target{kind: sim.Down, child: ch, weight: w})
 			total += w
 		}
@@ -284,6 +243,16 @@ func (t *TreeMining) decideTeam(v *sim.View, node tree.NodeID, robots []posEntry
 	}
 	return nil
 }
+
+// SnapshotState implements sim.Snapshotter (DESIGN.md S30). Tree-Mining's
+// only cross-round memory is its open-edge ledger, the reserve its
+// largest-remainder split is computed from each round; the grouping and
+// target buffers are rebuilt from the view every round and are skipped.
+func (t *TreeMining) SnapshotState(e *snap.Encoder) { t.open.Snapshot(e, t.k) }
+
+// RestoreState implements sim.Snapshotter; t must have been constructed (or
+// Reset) for the snapshot's robot count.
+func (t *TreeMining) RestoreState(d *snap.Decoder) error { return t.open.Restore(d, t.k) }
 
 // Recycle is the factory-reset hook for the sweep engine's algorithm-reuse
 // path (sweep.Point.ResetAlgorithm): it resets and returns the worker's
