@@ -67,6 +67,11 @@ func (b *BFDN) RestoreState(d *snap.Decoder) error {
 	if len(robots) != len(b.rs) {
 		return fmt.Errorf("core: snapshot has %d robots, instance has %d", len(robots), len(b.rs))
 	}
+	for _, r := range robots {
+		if r < 0 || !b.isMine.has(r) {
+			return fmt.Errorf("core: snapshot robot %d is not in the instance's team", r)
+		}
+	}
 	b.robots = append(b.robots[:0], robots...)
 	b.isMine.setBits(b.robots)
 	b.root = tree.NodeID(d.Int32())
@@ -76,9 +81,9 @@ func (b *BFDN) RestoreState(d *snap.Decoder) error {
 		st := &b.rs[j]
 		st.anchor = tree.NodeID(d.Int32())
 		st.anchorDepth = d.Int()
-		n := d.Int()
-		if d.Err() != nil || n < 0 {
-			return fmt.Errorf("core: corrupt BF stack for robot slot %d", j)
+		n := d.SliceLen()
+		if err := d.Err(); err != nil {
+			return fmt.Errorf("core: corrupt BF stack for robot slot %d: %w", j, err)
 		}
 		st.stack = st.stack[:0]
 		for i := 0; i < n; i++ {
@@ -89,9 +94,9 @@ func (b *BFDN) RestoreState(d *snap.Decoder) error {
 		st.everMoved = d.Bool()
 	}
 	b.stats.ReanchorsPerDepth = append(b.stats.ReanchorsPerDepth[:0], d.Ints()...)
-	nx := d.Int()
-	if d.Err() != nil || nx < 0 {
-		return fmt.Errorf("core: corrupt excursion log length %d", nx)
+	nx := d.SliceLen()
+	if err := d.Err(); err != nil {
+		return fmt.Errorf("core: corrupt excursion log length: %w", err)
 	}
 	b.stats.Excursions = b.stats.Excursions[:0]
 	for i := 0; i < nx; i++ {
@@ -164,26 +169,26 @@ func (a *anchorIndex) restore(d *snap.Decoder) error {
 		}
 		a.meta.vals = append(a.meta.vals, m)
 	}
-	nb := d.Int()
-	if d.Err() != nil || nb < 0 {
-		return fmt.Errorf("core: corrupt anchor index bucket count %d", nb)
+	nb := d.SliceLen()
+	if err := d.Err(); err != nil {
+		return fmt.Errorf("core: corrupt anchor index bucket count: %w", err)
 	}
 	for len(a.buckets) < nb {
 		a.buckets = append(a.buckets, &depthBucket{})
 	}
 	a.buckets = a.buckets[:nb]
 	for _, b := range a.buckets {
-		nm := d.Int()
-		if d.Err() != nil || nm < 0 {
-			return fmt.Errorf("core: corrupt anchor index bucket")
+		nm := d.SliceLen()
+		if err := d.Err(); err != nil {
+			return fmt.Errorf("core: corrupt anchor index bucket: %w", err)
 		}
 		b.members = b.members[:0]
 		for i := 0; i < nm; i++ {
 			b.members = append(b.members, tree.NodeID(d.Int32()))
 		}
-		nh := d.Int()
-		if d.Err() != nil || nh < 0 {
-			return fmt.Errorf("core: corrupt anchor index heap")
+		nh := d.SliceLen()
+		if err := d.Err(); err != nil {
+			return fmt.Errorf("core: corrupt anchor index heap: %w", err)
 		}
 		b.heap = b.heap[:0]
 		for i := 0; i < nh; i++ {

@@ -46,9 +46,9 @@ func (l *Levelwise) RestoreState(d *snap.Decoder) error {
 	}
 	l.seeded = d.Bool()
 	l.Phases = d.Int()
-	n := d.Int()
-	if d.Err() != nil || n < 0 {
-		return fmt.Errorf("levelwise: corrupt open-list length %d", n)
+	n := d.SliceLen()
+	if err := d.Err(); err != nil {
+		return fmt.Errorf("levelwise: corrupt open-list length: %w", err)
 	}
 	l.openList = l.openList[:0]
 	l.openCount = make(map[tree.NodeID]int, n)
@@ -67,9 +67,9 @@ func (l *Levelwise) RestoreState(d *snap.Decoder) error {
 	}
 	for i := range l.plans {
 		p := &l.plans[i]
-		m := d.Int()
-		if d.Err() != nil || m < 0 {
-			return fmt.Errorf("levelwise: corrupt plan for robot %d", i)
+		m := d.SliceLen()
+		if err := d.Err(); err != nil {
+			return fmt.Errorf("levelwise: corrupt plan for robot %d: %w", i, err)
 		}
 		p.down = p.down[:0]
 		for j := 0; j < m; j++ {

@@ -44,7 +44,10 @@ func (b *BFDNL) RestoreState(d *snap.Decoder) error {
 	b.phaseJ = d.Int()
 	b.ranOnce = d.Bool()
 	b.homing = d.Bool()
-	top, err := decodeAnchored(d, b.s())
+	if b.phaseJ < 0 || b.phaseJ > 62 {
+		return fmt.Errorf("recursive: corrupt phase index %d", b.phaseJ)
+	}
+	top, err := decodeAnchored(d, b.s(), b.ell, b.k)
 	if err != nil {
 		return err
 	}
@@ -103,8 +106,9 @@ func encodeAnchored(e *snap.Encoder, a Anchored) {
 }
 
 // decodeAnchored reconstructs one node of the instance tree. baseStep is
-// the phase's base step s, used as a sanity bound on decoded parameters.
-func decodeAnchored(d *snap.Decoder, baseStep int) (Anchored, error) {
+// the phase's base step s, maxLevel the node's highest possible level and k
+// the robot count; they bound the decoded parameters.
+func decodeAnchored(d *snap.Decoder, baseStep, maxLevel, k int) (Anchored, error) {
 	tag := d.Uint64()
 	if err := d.Err(); err != nil {
 		return nil, err
@@ -114,7 +118,7 @@ func decodeAnchored(d *snap.Decoder, baseStep int) (Anchored, error) {
 		depth := d.Int()
 		robots := d.Ints()
 		root := tree.NodeID(d.Int32())
-		if d.Err() != nil || depth < 0 || len(robots) == 0 {
+		if d.Err() != nil || depth < 0 || !validTeam(robots, k) {
 			return nil, fmt.Errorf("recursive: corrupt BFDN₁ node header")
 		}
 		a := &bfdn1{b: core.NewInstance(robots, root, core.WithMaxAnchorDepth(depth))}
@@ -128,7 +132,7 @@ func decodeAnchored(d *snap.Decoder, baseStep int) (Anchored, error) {
 		s := d.Int()
 		robots := d.Ints()
 		root := tree.NodeID(d.Int32())
-		if d.Err() != nil || level < 2 || kstar < 1 || s < 1 || s > baseStep || len(robots) == 0 {
+		if d.Err() != nil || level < 2 || level > maxLevel || kstar < 1 || s < 1 || s > baseStep || !validTeam(robots, k) {
 			return nil, fmt.Errorf("recursive: corrupt divide-depth node header")
 		}
 		dd := newDivideDepth(level, robots, root, s, kstar)
@@ -144,7 +148,7 @@ func decodeAnchored(d *snap.Decoder, baseStep int) (Anchored, error) {
 			return nil, fmt.Errorf("recursive: corrupt child count %d", nc)
 		}
 		for i := 0; i < nc; i++ {
-			c, err := decodeAnchored(d, baseStep)
+			c, err := decodeAnchored(d, baseStep, level-1, k)
 			if err != nil {
 				return nil, err
 			}
@@ -156,9 +160,9 @@ func decodeAnchored(d *snap.Decoder, baseStep int) (Anchored, error) {
 		}
 		for i := 0; i < np; i++ {
 			robot := d.Int()
-			m := d.Int()
-			if d.Err() != nil || m < 0 {
-				return nil, fmt.Errorf("recursive: corrupt travel plan")
+			m := d.SliceLen()
+			if err := d.Err(); err != nil {
+				return nil, fmt.Errorf("recursive: corrupt travel plan: %w", err)
 			}
 			path := make([]tree.NodeID, 0, m)
 			for j := 0; j < m; j++ {
@@ -170,4 +174,15 @@ func decodeAnchored(d *snap.Decoder, baseStep int) (Anchored, error) {
 	default:
 		return nil, fmt.Errorf("recursive: unknown Anchored type tag %d", tag)
 	}
+}
+
+// validTeam reports whether robots is a non-empty list of robot indices
+// below k, as every team of an instance tree is.
+func validTeam(robots []int, k int) bool {
+	for _, r := range robots {
+		if r < 0 || r >= k {
+			return false
+		}
+	}
+	return len(robots) > 0
 }

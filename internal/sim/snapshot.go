@@ -174,6 +174,12 @@ func RestoreCheckpoint(state []byte, w *World, a Algorithm) ([]ExploreEvent, err
 			NewDangling: d.Int(),
 		}
 	}
+	n := uint(w.t.N())
+	for _, e := range events {
+		if uint(e.Parent) >= n || uint(e.Child) >= n {
+			return nil, fmt.Errorf("sim: pending event %d→%d is outside the tree: %w", e.Parent, e.Child, snap.ErrCorrupt)
+		}
+	}
 	// ParentDangling is derived state and not part of the checkpoint format.
 	// Checkpoints are taken between rounds, so the restored world's dangling
 	// counts are the end-of-round values; replaying them per parent (events

@@ -80,14 +80,6 @@ func (e *Encoder) Int64s(v []int64) {
 	}
 }
 
-// Uint64s appends a length-prefixed []uint64.
-func (e *Encoder) Uint64s(v []uint64) {
-	e.Int(len(v))
-	for _, x := range v {
-		e.Uint64(x)
-	}
-}
-
 // Bools appends a length-prefixed []bool.
 func (e *Encoder) Bools(v []bool) {
 	e.Int(len(v))
@@ -177,10 +169,13 @@ func (d *Decoder) Float64() float64 {
 	return v
 }
 
-// sliceLen validates a decoded length prefix: non-negative and small enough
-// that the remaining buffer could plausibly hold it (every element costs at
-// least one byte), which keeps a corrupt prefix from allocating gigabytes.
-func (d *Decoder) sliceLen() int {
+// SliceLen reads a length prefix and validates it: non-negative and small
+// enough that the remaining buffer could plausibly hold it (every element
+// costs at least one byte), which keeps a corrupt prefix from allocating
+// gigabytes or looping for hours. An invalid prefix sets the sticky error
+// and reads as 0. Decoders of hand-written records read every count
+// through it.
+func (d *Decoder) SliceLen() int {
 	n := d.Int()
 	if d.err != nil {
 		return 0
@@ -194,7 +189,7 @@ func (d *Decoder) sliceLen() int {
 
 // Ints reads a length-prefixed []int (nil for length 0).
 func (d *Decoder) Ints() []int {
-	n := d.sliceLen()
+	n := d.SliceLen()
 	if n == 0 {
 		return nil
 	}
@@ -207,7 +202,7 @@ func (d *Decoder) Ints() []int {
 
 // Int32s reads a length-prefixed []int32 (nil for length 0).
 func (d *Decoder) Int32s() []int32 {
-	n := d.sliceLen()
+	n := d.SliceLen()
 	if n == 0 {
 		return nil
 	}
@@ -220,7 +215,7 @@ func (d *Decoder) Int32s() []int32 {
 
 // Int64s reads a length-prefixed []int64 (nil for length 0).
 func (d *Decoder) Int64s() []int64 {
-	n := d.sliceLen()
+	n := d.SliceLen()
 	if n == 0 {
 		return nil
 	}
@@ -231,22 +226,9 @@ func (d *Decoder) Int64s() []int64 {
 	return v
 }
 
-// Uint64s reads a length-prefixed []uint64 (nil for length 0).
-func (d *Decoder) Uint64s() []uint64 {
-	n := d.sliceLen()
-	if n == 0 {
-		return nil
-	}
-	v := make([]uint64, n)
-	for i := range v {
-		v[i] = d.Uint64()
-	}
-	return v
-}
-
 // Bools reads a length-prefixed []bool (nil for length 0).
 func (d *Decoder) Bools() []bool {
-	n := d.sliceLen()
+	n := d.SliceLen()
 	if n == 0 {
 		return nil
 	}
