@@ -134,25 +134,3 @@ func (a *AdaptiveAlgorithm) SelectMoves(v *sim.View, events []sim.ExploreEvent) 
 func (a *AdaptiveAlgorithm) AllowedAverage() float64 {
 	return float64(a.allowedTotal) / float64(a.k)
 }
-
-// RunAdaptive drives the algorithm until every edge is visited, mirroring
-// RunUntilExplored.
-func RunAdaptive(w *sim.World, a *AdaptiveAlgorithm, maxRounds int64) (Result, error) {
-	var events []sim.ExploreEvent
-	for r := int64(0); r < maxRounds && !w.FullyExplored(); r++ {
-		moves, err := a.SelectMoves(w.View(), events)
-		if err != nil {
-			return Result{}, err
-		}
-		ev, _, err := w.Apply(moves)
-		if err != nil {
-			return Result{}, err
-		}
-		events = ev
-	}
-	return Result{
-		Metrics:        w.Metrics(),
-		AllowedAverage: a.AllowedAverage(),
-		FullyExplored:  w.FullyExplored(),
-	}, nil
-}

@@ -140,18 +140,26 @@ type Result struct {
 	FullyExplored  bool
 }
 
+// BreakDownAlgorithm is an algorithm run under break-downs: it reports
+// A(M), the average number of allowed robot-rounds so far.
+type BreakDownAlgorithm interface {
+	sim.Algorithm
+	AllowedAverage() float64
+}
+
 // RunUntilExplored drives the algorithm until every edge has been visited
 // (the §4.2 objective — robots need not return to the root, since the
 // adversary may stall them forever) or maxRounds elapses. Unlike sim.Run it
 // does not stop on all-still rounds: the adversary may block every robot for
-// arbitrarily many rounds.
-func RunUntilExplored(w *sim.World, a *Algorithm, maxRounds int64) (Result, error) {
+// arbitrarily many rounds. It runs both the oblivious-schedule Algorithm and
+// the AdaptiveAlgorithm.
+func RunUntilExplored(w *sim.World, a BreakDownAlgorithm, maxRounds int64) (Result, error) {
 	return RunUntilExploredContext(context.Background(), w, a, maxRounds)
 }
 
 // RunUntilExploredContext is RunUntilExplored with cancellation at round
 // granularity, mirroring sim.RunContext.
-func RunUntilExploredContext(ctx context.Context, w *sim.World, a *Algorithm, maxRounds int64) (Result, error) {
+func RunUntilExploredContext(ctx context.Context, w *sim.World, a BreakDownAlgorithm, maxRounds int64) (Result, error) {
 	var events []sim.ExploreEvent
 	for r := int64(0); r < maxRounds && !w.FullyExplored(); r++ {
 		if err := ctx.Err(); err != nil {
