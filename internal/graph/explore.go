@@ -1,9 +1,11 @@
 package graph
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
+
+	"bfdn/internal/anchor"
+	"bfdn/internal/tree"
 )
 
 // edgeStatus classifies a (node, port) slot during exploration.
@@ -32,7 +34,7 @@ type Explorer struct {
 	expl    []bool
 
 	robots []gRobot
-	idx    gAnchorIndex
+	idx    *anchor.Index
 	round  int32
 
 	exploredNodes int
@@ -83,6 +85,7 @@ func NewExplorer(g *Graph, k int) (*Explorer, error) {
 		parent:  make([]int32, g.N()),
 		expl:    make([]bool, g.N()),
 		robots:  make([]gRobot, k),
+		idx:     anchor.New(true),
 	}
 	for u := 0; u < g.N(); u++ {
 		e.status[u] = make([]edgeStatus, g.Degree(int32(u)))
@@ -98,11 +101,10 @@ func NewExplorer(g *Graph, k int) (*Explorer, error) {
 	for i := range e.robots {
 		e.robots[i] = gRobot{mode: modeDecide, pos: g.Origin(), anchor: g.Origin()}
 	}
-	e.idx.init()
 	if e.untried[g.Origin()] > 0 {
-		e.idx.addOpen(g.Origin(), 0)
+		e.idx.AddOpen(tree.NodeID(g.Origin()), 0)
 	}
-	e.idx.changeLoad(g.Origin(), 0, k)
+	e.idx.ChangeLoad(tree.NodeID(g.Origin()), 0, k)
 	return e, nil
 }
 
@@ -173,7 +175,9 @@ func (e *Explorer) step() (bool, error) {
 			return false, fmt.Errorf("graph: robot %d still in probe mode at round start", i)
 		case modeDecide:
 			if r.pos == e.g.Origin() {
-				e.reanchor(i)
+				if err := e.reanchor(i); err != nil {
+					return false, err
+				}
 				if len(r.stack) > 0 {
 					next := r.stack[len(r.stack)-1]
 					r.stack = r.stack[:len(r.stack)-1]
@@ -229,7 +233,7 @@ func (e *Explorer) step() (bool, error) {
 			e.classify(a.from, a.port, edgeTree)
 			e.metrics.TreeEdges++
 			if e.untried[dest] > 0 {
-				e.idx.addOpen(dest, dw)
+				e.idx.AddOpen(tree.NodeID(dest), dw)
 			}
 			r.mode = modeDecide
 		default:
@@ -257,10 +261,10 @@ func (e *Explorer) classify(u int32, port int32, st edgeStatus) {
 	e.untried[u]--
 	e.untried[w]--
 	if e.untried[u] == 0 && e.expl[u] {
-		e.idx.close(u, e.g.Dist(u))
+		e.idx.Close(tree.NodeID(u), e.g.Dist(u))
 	}
 	if e.untried[w] == 0 && e.expl[w] {
-		e.idx.close(w, e.g.Dist(w))
+		e.idx.Close(tree.NodeID(w), e.g.Dist(w))
 	}
 }
 
@@ -276,19 +280,24 @@ func (e *Explorer) pickUnknownPort(u int32) int {
 
 // reanchor assigns robot i the least-loaded open node of minimal distance
 // (the BFDN Reanchor rule with depth = oracle distance).
-func (e *Explorer) reanchor(i int) {
+func (e *Explorer) reanchor(i int) error {
 	r := &e.robots[i]
-	e.idx.changeLoad(r.anchor, e.g.Dist(r.anchor), -1)
-	anchor := e.g.Origin()
-	if d, ok := e.idx.minOpenDepth(); ok {
-		anchor = e.idx.pickMinLoad(d)
+	e.idx.ChangeLoad(tree.NodeID(r.anchor), e.g.Dist(r.anchor), -1)
+	target := e.g.Origin()
+	if d, ok := e.idx.MinOpenDepth(-1); ok {
+		u, err := e.idx.PickMinLoad(d)
+		if err != nil {
+			return fmt.Errorf("graph: %w", err)
+		}
+		target = int32(u)
 	}
-	r.anchor = anchor
-	e.idx.changeLoad(anchor, e.g.Dist(anchor), 1)
+	r.anchor = target
+	e.idx.ChangeLoad(tree.NodeID(target), e.g.Dist(target), 1)
 	r.stack = r.stack[:0]
-	for v := anchor; v != e.g.Origin(); v = e.parent[v] {
+	for v := target; v != e.g.Origin(); v = e.parent[v] {
 		r.stack = append(r.stack, v)
 	}
+	return nil
 }
 
 // Proposition9Bound evaluates 2m/k + D²(min{log Δ, log k}+3) with m edges
@@ -299,94 +308,4 @@ func Proposition9Bound(m, depth, k, maxDeg int) float64 {
 		logTerm = 0
 	}
 	return 2*float64(m)/float64(k) + float64(depth*depth)*(logTerm+3)
-}
-
-// gAnchorIndex is the distance-bucketed least-loaded anchor index (the graph
-// twin of core's anchorIndex; depths here are oracle distances).
-type gAnchorIndex struct {
-	buckets  []gBucket
-	minDepth int
-	loads    map[int32]int32
-	open     map[int32]bool
-}
-
-type gBucket struct {
-	heap gLoadHeap
-	size int
-}
-
-type gEntry struct {
-	node int32
-	load int32
-}
-
-type gLoadHeap []gEntry
-
-func (h gLoadHeap) Len() int            { return len(h) }
-func (h gLoadHeap) Less(i, j int) bool  { return h[i].load < h[j].load }
-func (h gLoadHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *gLoadHeap) Push(x interface{}) { *h = append(*h, x.(gEntry)) }
-func (h *gLoadHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-func (a *gAnchorIndex) init() {
-	a.loads = make(map[int32]int32)
-	a.open = make(map[int32]bool)
-}
-
-func (a *gAnchorIndex) bucket(d int) *gBucket {
-	for d >= len(a.buckets) {
-		a.buckets = append(a.buckets, gBucket{})
-	}
-	return &a.buckets[d]
-}
-
-func (a *gAnchorIndex) addOpen(v int32, d int) {
-	a.open[v] = true
-	b := a.bucket(d)
-	b.size++
-	heap.Push(&b.heap, gEntry{node: v, load: a.loads[v]})
-}
-
-func (a *gAnchorIndex) close(v int32, d int) {
-	if !a.open[v] {
-		return
-	}
-	delete(a.open, v)
-	a.buckets[d].size--
-}
-
-func (a *gAnchorIndex) changeLoad(v int32, d, delta int) {
-	a.loads[v] += int32(delta)
-	if a.open[v] {
-		b := a.bucket(d)
-		heap.Push(&b.heap, gEntry{node: v, load: a.loads[v]})
-	}
-}
-
-func (a *gAnchorIndex) minOpenDepth() (int, bool) {
-	for a.minDepth < len(a.buckets) && a.buckets[a.minDepth].size == 0 {
-		a.minDepth++
-	}
-	if a.minDepth >= len(a.buckets) {
-		return 0, false
-	}
-	return a.minDepth, true
-}
-
-func (a *gAnchorIndex) pickMinLoad(d int) int32 {
-	b := &a.buckets[d]
-	for {
-		e := b.heap[0]
-		if !a.open[e.node] || e.load != a.loads[e.node] {
-			heap.Pop(&b.heap)
-			continue
-		}
-		return e.node
-	}
 }
