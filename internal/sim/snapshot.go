@@ -93,6 +93,9 @@ func (w *World) Restore(d *snap.Decoder) error {
 		return fmt.Errorf("sim: snapshot cursor set has %d nodes, want %d", len(nextKid), n)
 	}
 	if d.Err() == nil {
+		if err := w.checkRestored(explored, nextKid); err != nil {
+			return err
+		}
 		// Rebuild the flattened per-node words; every stored reservation
 		// belonged to a round strictly before the restored one, so none can
 		// be live. Advancing the stamp base past every stamp this world has
@@ -107,6 +110,9 @@ func (w *World) Restore(d *snap.Decoder) error {
 		}
 	}
 	w.round = d.Int()
+	if d.Err() == nil && w.round < 0 {
+		return fmt.Errorf("sim: snapshot round %d is negative: %w", w.round, snap.ErrCorrupt)
+	}
 	w.metrics.Rounds = d.Int()
 	w.metrics.TotalRounds = d.Int()
 	w.metrics.Moves = d.Int64()
@@ -119,6 +125,48 @@ func (w *World) Restore(d *snap.Decoder) error {
 	w.metrics.EdgeExplorations = d.Int()
 	w.metrics.DiscoveredEdges = d.Int()
 	return d.Err()
+}
+
+// checkRestored rejects a restored exploration state that a run could not
+// continue from: the root unexplored, an explored node under an unexplored
+// parent, a child cursor outside [0, NumChildren] or out of step with the
+// explored children (the world explores children in port order), an
+// explored count that disagrees with the set, or a robot off the explored
+// part of the tree.
+func (w *World) checkRestored(explored []bool, nextKid []int32) error {
+	if !explored[tree.Root] {
+		return fmt.Errorf("sim: snapshot leaves the root unexplored: %w", snap.ErrCorrupt)
+	}
+	count := 0
+	for v, ok := range explored {
+		if !ok {
+			continue
+		}
+		count++
+		u := tree.NodeID(v)
+		if p := w.t.Parent(u); u != tree.Root && !explored[p] {
+			return fmt.Errorf("sim: snapshot explores node %d under unexplored parent %d: %w", v, p, snap.ErrCorrupt)
+		}
+		kids := w.t.Children(u)
+		nk := int(nextKid[v])
+		if nk < 0 || nk > len(kids) {
+			return fmt.Errorf("sim: snapshot child cursor %d of node %d is outside [0, %d]: %w", nk, v, len(kids), snap.ErrCorrupt)
+		}
+		for j, c := range kids {
+			if explored[c] != (j < nk) {
+				return fmt.Errorf("sim: snapshot child cursor %d of node %d disagrees with its explored children: %w", nk, v, snap.ErrCorrupt)
+			}
+		}
+	}
+	if count != w.exploredCount {
+		return fmt.Errorf("sim: snapshot counts %d explored nodes, its explored set has %d: %w", w.exploredCount, count, snap.ErrCorrupt)
+	}
+	for i, p := range w.pos {
+		if uint(p) >= uint(len(explored)) || !explored[p] {
+			return fmt.Errorf("sim: snapshot puts robot %d on node %d, which is not explored: %w", i, p, snap.ErrCorrupt)
+		}
+	}
+	return nil
 }
 
 // EncodeCheckpoint serializes a mid-run (world, algorithm, pending events)
@@ -176,8 +224,11 @@ func RestoreCheckpoint(state []byte, w *World, a Algorithm) ([]ExploreEvent, err
 	}
 	n := uint(w.t.N())
 	for _, e := range events {
-		if uint(e.Parent) >= n || uint(e.Child) >= n {
-			return nil, fmt.Errorf("sim: pending event %d→%d is outside the tree: %w", e.Parent, e.Child, snap.ErrCorrupt)
+		if uint(e.Parent) >= n || uint(e.Child) >= n || e.Child == tree.Root || w.t.Parent(e.Child) != e.Parent {
+			return nil, fmt.Errorf("sim: pending event %d→%d is not an edge of the tree: %w", e.Parent, e.Child, snap.ErrCorrupt)
+		}
+		if uint(e.Robot) >= uint(w.k) {
+			return nil, fmt.Errorf("sim: pending event %d→%d names robot %d of %d: %w", e.Parent, e.Child, e.Robot, w.k, snap.ErrCorrupt)
 		}
 	}
 	// ParentDangling is derived state and not part of the checkpoint format.

@@ -193,8 +193,10 @@ func TestRestoreCheckpointValidation(t *testing.T) {
 // FuzzRestoreCheckpoint feeds arbitrary bytes to RestoreCheckpoint for
 // every algorithm. Checkpoints come from the job store's files, so a torn
 // or corrupted file must be rejected with an error: restoring may succeed
-// or fail, but it must never panic, hang or allocate without bound. The
-// seeds are one valid checkpoint per algorithm.
+// or fail, but it must never panic, hang or allocate without bound. A
+// checkpoint that restores must also resume, so the fuzzer then runs it on
+// for up to 400 rounds; that run may end in any error, but it must not
+// panic either. The seeds are one valid checkpoint per algorithm.
 func FuzzRestoreCheckpoint(f *testing.F) {
 	const k = 4
 	tr, err := GenerateTree(FamilyRandom, 120, 8, 3)
@@ -229,6 +231,10 @@ func FuzzRestoreCheckpoint(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, which uint8, state []byte) {
 		w, a := build(algs[int(which)%len(algs)])
-		_, _ = sim.RestoreCheckpoint(state, w, a)
+		events, err := sim.RestoreCheckpoint(state, w, a)
+		if err != nil {
+			return
+		}
+		_, _ = sim.RunCheckpointedContext(context.Background(), w, a, int64(w.Round())+400, events, 0, nil)
 	})
 }
