@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 
 	"bfdn/internal/tree"
@@ -67,35 +68,9 @@ func (c *Checker) Check() error {
 	return nil
 }
 
-// RunChecked is Run with a Checker validating every round; it is O(n) per
-// round and intended for tests on small trees.
+// RunChecked is Run with a Checker validating the world after every round,
+// the last one included; it is O(n) per round and intended for tests on
+// small trees.
 func RunChecked(w *World, a Algorithm, maxRounds int64) (Result, error) {
-	if maxRounds <= 0 {
-		n, d := int64(w.t.N()), int64(w.t.Depth())
-		maxRounds = 3*n*d + 2*d + 16
-	}
-	checker := NewChecker(w)
-	var events []ExploreEvent
-	for r := int64(0); r < maxRounds; r++ {
-		moves, err := a.SelectMoves(w.view, events)
-		if err != nil {
-			return Result{}, fmt.Errorf("sim: round %d: %w", w.round, err)
-		}
-		ev, anyMoved, err := w.Apply(moves)
-		if err != nil {
-			return Result{}, err
-		}
-		if err := checker.Check(); err != nil {
-			return Result{}, fmt.Errorf("round %d: %w", w.round-1, err)
-		}
-		events = ev
-		if !anyMoved {
-			return Result{
-				Metrics:       w.Metrics(),
-				FullyExplored: w.FullyExplored(),
-				AllAtRoot:     w.AllAtRoot(),
-			}, nil
-		}
-	}
-	return Result{}, fmt.Errorf("%w (%d rounds, %s)", ErrRoundLimit, maxRounds, w.t)
+	return runCheckpointed(context.Background(), w, a, maxRounds, nil, 0, nil, nil, NewChecker(w).Check)
 }

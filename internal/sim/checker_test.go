@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -83,5 +84,60 @@ func TestCheckerDetectsCorruptedState(t *testing.T) {
 	w.dangling[4] = int32(w.t.NumChildren(4))
 	if err := c.Check(); err == nil {
 		t.Error("checker missed a disconnected explored set")
+	}
+}
+
+// shuttle explores a path depth-first and then walks between the root and
+// its child forever, so only a round cap ends its run.
+type shuttle struct{}
+
+func (shuttle) SelectMoves(v *View, _ []ExploreEvent) ([]Move, error) {
+	pos := v.Pos(0)
+	if tk, ok := v.ReserveDangling(pos); ok {
+		return []Move{{Kind: Explore, Ticket: tk}}, nil
+	}
+	if pos != tree.Root {
+		return []Move{{Kind: Up}}, nil
+	}
+	return []Move{{Kind: Down, Child: v.ExploredChildren(tree.Root)[0]}}, nil
+}
+
+// TestRunCheckedSharesRunsRoundCap: RunChecked drives Run's round loop, so
+// a run that never stops hits the same default cap at the same round.
+func TestRunCheckedSharesRunsRoundCap(t *testing.T) {
+	rounds := make([]int, 2)
+	for i, run := range []func(*World, Algorithm, int64) (Result, error){Run, RunChecked} {
+		w, err := NewWorld(tree.Path(4), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := run(w, shuttle{}, 0); !errors.Is(err, ErrRoundLimit) {
+			t.Fatalf("run %d: %v, want the round limit", i, err)
+		}
+		rounds[i] = w.Round()
+	}
+	if rounds[0] != rounds[1] {
+		t.Fatalf("Run stopped at round %d, RunChecked at %d", rounds[0], rounds[1])
+	}
+}
+
+// stopAndCorrupt moves no robot, which ends the run, and corrupts the
+// world's explored count in that same last round.
+type stopAndCorrupt struct{ w *World }
+
+func (s stopAndCorrupt) SelectMoves(*View, []ExploreEvent) ([]Move, error) {
+	s.w.exploredCount = 99
+	return []Move{{Kind: Stay}}, nil
+}
+
+// TestRunCheckedChecksTheLastRound: the checker also runs after the round
+// in which no robot moves.
+func TestRunCheckedChecksTheLastRound(t *testing.T) {
+	w, err := NewWorld(tree.Path(4), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunChecked(w, stopAndCorrupt{w}, 0); err == nil || !strings.Contains(err.Error(), "explored count") {
+		t.Fatalf("RunChecked = %v, want the checker's explored-count error", err)
 	}
 }

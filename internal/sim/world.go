@@ -419,7 +419,7 @@ func Run(w *World, a Algorithm, maxRounds int64) (Result, error) {
 // context's error (wrapped; test with errors.Is) and a zero Result; the
 // world is left mid-run in a consistent state.
 func RunContext(ctx context.Context, w *World, a Algorithm, maxRounds int64) (Result, error) {
-	return runCheckpointed(ctx, w, a, maxRounds, nil, 0, nil, nil)
+	return runCheckpointed(ctx, w, a, maxRounds, nil, 0, nil, nil, nil)
 }
 
 // RunRecycledContext is RunContext for engine callers that recycle worlds
@@ -429,7 +429,7 @@ func RunContext(ctx context.Context, w *World, a Algorithm, maxRounds int64) (Re
 // for its report. The caller owns the buffer; handing out arena-carved
 // slices keeps per-point results independent.
 func RunRecycledContext(ctx context.Context, w *World, a Algorithm, maxRounds int64, movesPerRobot []int64) (Result, error) {
-	return runCheckpointed(ctx, w, a, maxRounds, nil, 0, nil, movesPerRobot)
+	return runCheckpointed(ctx, w, a, maxRounds, nil, 0, nil, movesPerRobot, nil)
 }
 
 // RunCheckpointedContext is RunContext for resumable runs (DESIGN.md S30).
@@ -440,10 +440,13 @@ func RunRecycledContext(ctx context.Context, w *World, a Algorithm, maxRounds in
 // every > 0 and save is non-nil, save receives an EncodeCheckpoint buffer
 // after each block of every committed rounds; a save error aborts the run.
 func RunCheckpointedContext(ctx context.Context, w *World, a Algorithm, maxRounds int64, events []ExploreEvent, every int, save func([]byte) error) (Result, error) {
-	return runCheckpointed(ctx, w, a, maxRounds, events, every, save, nil)
+	return runCheckpointed(ctx, w, a, maxRounds, events, every, save, nil, nil)
 }
 
-func runCheckpointed(ctx context.Context, w *World, a Algorithm, maxRounds int64, events []ExploreEvent, every int, save func([]byte) error, movesPerRobot []int64) (Result, error) {
+// runCheckpointed is the one round loop behind every Run variant. A non-nil
+// check runs after every committed round, the last one included, and its
+// error ends the run.
+func runCheckpointed(ctx context.Context, w *World, a Algorithm, maxRounds int64, events []ExploreEvent, every int, save func([]byte) error, movesPerRobot []int64, check func() error) (Result, error) {
 	if maxRounds <= 0 {
 		n, d := int64(w.t.N()), int64(w.t.Depth())
 		maxRounds = 3*n*d + 2*d + 4
@@ -459,6 +462,11 @@ func runCheckpointed(ctx context.Context, w *World, a Algorithm, maxRounds int64
 		ev, anyMoved, err := w.Apply(moves)
 		if err != nil {
 			return Result{}, err
+		}
+		if check != nil {
+			if err := check(); err != nil {
+				return Result{}, fmt.Errorf("round %d: %w", w.round-1, err)
+			}
 		}
 		events = ev
 		if !anyMoved {
