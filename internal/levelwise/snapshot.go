@@ -3,6 +3,7 @@ package levelwise
 import (
 	"fmt"
 
+	"bfdn/internal/sim"
 	"bfdn/internal/snap"
 	"bfdn/internal/tree"
 )
@@ -78,5 +79,29 @@ func (l *Levelwise) RestoreState(d *snap.Decoder) error {
 		p.explore = tree.NodeID(d.Int32())
 		p.up = d.Int()
 	}
+	l.restored = true
 	return d.Err()
+}
+
+// checkAgainstTree checks a restored state against the tree, which
+// RestoreState does not see: every open-list node, every node on a plan's
+// descent and every node a plan explores from must be explored.
+func (l *Levelwise) checkAgainstTree(v *sim.View) error {
+	for _, u := range l.openList {
+		if !v.Explored(u) {
+			return fmt.Errorf("levelwise: open-list node %d is not explored: %w", u, snap.ErrCorrupt)
+		}
+	}
+	for i := range l.plans {
+		p := &l.plans[i]
+		if p.explore != tree.Nil && !v.Explored(p.explore) {
+			return fmt.Errorf("levelwise: robot %d plans to explore from node %d, which is not explored: %w", i, p.explore, snap.ErrCorrupt)
+		}
+		for _, u := range p.down {
+			if !v.Explored(u) {
+				return fmt.Errorf("levelwise: robot %d plans to walk through node %d, which is not explored: %w", i, u, snap.ErrCorrupt)
+			}
+		}
+	}
+	return nil
 }

@@ -1,10 +1,15 @@
 package levelwise
 
 import (
+	"context"
+	"errors"
+	"math/rand"
 	"strings"
 	"testing"
 
+	"bfdn/internal/sim"
 	"bfdn/internal/snap"
+	"bfdn/internal/tree"
 )
 
 // TestRestoreRejectsHugeLengths feeds RestoreState a checkpoint whose
@@ -40,6 +45,68 @@ func TestRestoreRejectsHugeLengths(t *testing.T) {
 			err := New(1).RestoreState(snap.NewDecoder(e.Bytes()))
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("RestoreState = %v, want an error about the %s", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestResumeRejectsStateOffTheTree corrupts a level-wise checkpoint with
+// node ids RestoreState cannot check without the tree: a plan that
+// explores from node -25 (the fuzzer's find), a descent through node -3,
+// and an open-list node past the tree. The first round of the resumed run
+// must return an error instead of indexing out of range.
+func TestResumeRejectsStateOffTheTree(t *testing.T) {
+	const k = 4
+	tr := tree.Random(200, 10, rand.New(rand.NewSource(3)))
+	errStop := errors.New("stop")
+	w, _ := sim.NewWorld(tr, k)
+	var ckpt []byte
+	if _, err := sim.RunCheckpointedContext(context.Background(), w, New(k), 0, nil, 7, func(state []byte) error {
+		ckpt = state
+		return errStop
+	}); !errors.Is(err, errStop) {
+		t.Fatalf("want the save hook's error, got %v", err)
+	}
+	for _, tc := range []struct {
+		name, want string
+		corrupt    func(l *Levelwise)
+	}{
+		{"control", "", func(*Levelwise) {}},
+		{"explore from node -25", "explore from node -25", func(l *Levelwise) { l.plans[0].explore = -25 }},
+		{"descent through node -3", "walk through node -3", func(l *Levelwise) {
+			l.plans[1].down = append(l.plans[1].down, -3)
+		}},
+		{"open-list node past the tree", "open-list node", func(l *Levelwise) {
+			l.openList = append(l.openList, 1<<20)
+			l.openCount[1<<20] = 1
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w, _ := sim.NewWorld(tr, k)
+			l := New(k)
+			events, err := sim.RestoreCheckpoint(ckpt, w, l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.corrupt(l)
+			state, err := sim.EncodeCheckpoint(w, l, events)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, _ = sim.NewWorld(tr, k)
+			l = New(k)
+			if events, err = sim.RestoreCheckpoint(state, w, l); err != nil {
+				t.Fatalf("RestoreCheckpoint = %v; the corruption needs the tree to be seen", err)
+			}
+			res, err := sim.RunCheckpointedContext(context.Background(), w, l, 0, events, 0, nil)
+			if tc.want == "" {
+				if err != nil || !res.FullyExplored {
+					t.Fatalf("resumed run: %v, fully explored %v", err, res.FullyExplored)
+				}
+				return
+			}
+			if !errors.Is(err, snap.ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("resumed run = %v, want a corrupt-state error about %q", err, tc.want)
 			}
 		})
 	}
