@@ -7,24 +7,19 @@ import (
 	"bfdn/internal/tree"
 )
 
-// Snapshot serializes the index verbatim: the depth cursor, the load and
-// position tables, then per depth the bucket member order, the lazy heap's
-// backing array (stale entries included) and the round-robin cursor. The
-// heap is written in array order because its sift history is what breaks
-// load ties; replaying it byte-for-byte is what keeps a resumed run
-// byte-identical to an uninterrupted one. The merged meta table is written
-// as its two legacy column arrays (loads, then positions) so the wire
-// layout predates the merge; both columns share the merged table's length.
+// Snapshot serializes the index verbatim: the depth cursor, the per-node
+// meta table as (position, load) pairs, then per depth the bucket member
+// order, the lazy heap's backing array (stale entries included) and the
+// round-robin cursor. The heap is written in array order because its sift
+// history is what breaks load ties; replaying it byte-for-byte is what
+// keeps a resumed run byte-identical to an uninterrupted one.
 func (a *Index) Snapshot(e *snap.Encoder) {
 	e.Int(a.minDepth)
-	loads := make([]int32, len(a.meta.vals))
-	pos := make([]int32, len(a.meta.vals))
-	for i, m := range a.meta.vals {
-		loads[i] = m.load
-		pos[i] = m.pos
+	e.Int(len(a.meta.vals))
+	for _, m := range a.meta.vals {
+		e.Int32(m.pos)
+		e.Int32(m.load)
 	}
-	e.Int32s(loads)
-	e.Int32s(pos)
 	e.Int(len(a.buckets))
 	for _, b := range a.buckets {
 		e.Int(len(b.members))
@@ -46,26 +41,20 @@ func (a *Index) Snapshot(e *snap.Encoder) {
 // member's position entry points back at its slot, no node is a member
 // twice and no other node is positioned; every member has a live heap
 // entry and no heap entry names a negative node; and every round-robin
-// cursor lies in [0, members]. Checks that need the tree (is each member
-// at its bucket's depth?) are the caller's.
+// cursor lies in [0, members]. The index does not know the tree, so the
+// caller checks the rest against it (core's RestoreState does, on the
+// restored world): that each member is an explored node at its bucket's
+// depth, inside the caller's subtree.
 func (a *Index) Restore(d *snap.Decoder) error {
 	a.minDepth = d.Int()
-	loads := d.Int32s()
-	pos := d.Int32s()
-	// The two columns share a length when written by this version; accept
-	// differing lengths (pre-merge snapshots grew them independently) by
-	// filling the shorter column with its default.
-	n := max(len(loads), len(pos))
+	n := d.SliceLen()
+	if err := d.Err(); err != nil {
+		return fmt.Errorf("anchor: corrupt index meta table: %w", err)
+	}
 	a.meta.vals = a.meta.vals[:0]
 	positioned := 0
 	for i := 0; i < n; i++ {
-		m := nodeMeta{pos: -1}
-		if i < len(loads) {
-			m.load = loads[i]
-		}
-		if i < len(pos) {
-			m.pos = pos[i]
-		}
+		m := nodeMeta{pos: d.Int32(), load: d.Int32()}
 		if m.pos >= 0 {
 			positioned++
 		}

@@ -45,11 +45,6 @@ type BFDN struct {
 	rs     []robotState
 	stats  Stats
 	seeded bool
-	// depthsKnown marks the per-robot posDepth fields as current; it is
-	// cleared by Reset and RestoreState (posDepth is derived state, not part
-	// of the checkpoint format) and re-established by one DepthOf pass,
-	// which first checks the state against the tree (checkAgainstTree).
-	depthsKnown bool
 	// reanchorAt scratch (shortcut mode): the down-chain and up-chain of the
 	// shortest explored path, reused across re-anchors.
 	scratchDown []tree.NodeID
@@ -97,10 +92,10 @@ func (s *bitset) setBits(ids []int) {
 type robotState struct {
 	anchor      tree.NodeID
 	anchorDepth int // relative to the instance root
-	// posDepth is the absolute depth of the robot's position, maintained
-	// incrementally by the batched decide path (every move changes depth by
-	// ±1), replacing a per-round DepthOf lookup. Shortcut mode leaves it
-	// stale; it is only read by the batched path.
+	// posDepth is the absolute depth of the robot's position, set by seed
+	// and RestoreState and maintained incrementally by the batched decide
+	// path (every move changes depth by ±1), replacing a per-round DepthOf
+	// lookup. Shortcut mode leaves it stale; only the batched path reads it.
 	posDepth    int32
 	stack       []tree.NodeID
 	excRounds   int
@@ -192,7 +187,6 @@ func (b *BFDN) Reset(robots []int, root tree.NodeID, rng *rand.Rand) {
 	}
 	b.stats.reset()
 	b.seeded = false
-	b.depthsKnown = false
 }
 
 // Stats returns the accumulated instrumentation.
@@ -231,7 +225,15 @@ func (b *BFDN) seed(v *sim.View) {
 		b.rs[j].anchor = b.root
 		b.idx.ChangeLoad(b.root, 0, 1)
 	}
+	b.setPosDepths(v)
 	b.seeded = true
+}
+
+// setPosDepths sets every controlled robot's posDepth from the view.
+func (b *BFDN) setPosDepths(v *sim.View) {
+	for j, r := range b.robots {
+		b.rs[j].posDepth = int32(v.DepthOf(v.Pos(r)))
+	}
 }
 
 // absorb updates the open-node index with the explore events of the previous
@@ -282,15 +284,6 @@ func (b *BFDN) Decide(v *sim.View, events []sim.ExploreEvent, moves []sim.Move) 
 func (b *BFDN) DecideAllowed(v *sim.View, events []sim.ExploreEvent, moves []sim.Move, allowed func(robot int) bool) error {
 	if !b.seeded {
 		b.seed(v)
-	}
-	if !b.depthsKnown {
-		if err := b.checkAgainstTree(v); err != nil {
-			return err
-		}
-		for j, r := range b.robots {
-			b.rs[j].posDepth = int32(v.DepthOf(v.Pos(r)))
-		}
-		b.depthsKnown = true
 	}
 	b.absorb(v, events)
 	if b.shortcut {

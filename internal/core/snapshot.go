@@ -17,7 +17,9 @@ import (
 func (a *Algorithm) SnapshotState(e *snap.Encoder) { a.b.SnapshotState(e) }
 
 // RestoreState implements sim.Snapshotter.
-func (a *Algorithm) RestoreState(d *snap.Decoder) error { return a.b.RestoreState(d) }
+func (a *Algorithm) RestoreState(d *snap.Decoder, v *sim.View, pending []sim.ExploreEvent) error {
+	return a.b.RestoreState(d, v, pending)
+}
 
 // SnapshotState serializes the instance's cross-round state: robot set,
 // root, per-robot excursion state, statistics, and the anchor index
@@ -56,8 +58,9 @@ func (b *BFDN) SnapshotState(e *snap.Encoder) {
 
 // RestoreState restores a checkpoint written by SnapshotState into b, which
 // must have been constructed (or Reset) with the same configuration and
-// robot count. Buffers are reused where capacity allows.
-func (b *BFDN) RestoreState(d *snap.Decoder) error {
+// robot count, and checks it against the restored world (checkAgainstTree).
+// Buffers are reused where capacity allows.
+func (b *BFDN) RestoreState(d *snap.Decoder, v *sim.View, _ []sim.ExploreEvent) error {
 	if b.policy == RandomOpen {
 		return fmt.Errorf("core: the RandomOpen policy cannot be restored from a checkpoint")
 	}
@@ -109,32 +112,53 @@ func (b *BFDN) RestoreState(d *snap.Decoder) error {
 		})
 	}
 	b.stats.IdleSelections = d.Int()
-	b.depthsKnown = false
 	if err := b.idx.Restore(d); err != nil {
 		return err
 	}
-	return d.Err()
+	b.setPosDepths(v)
+	return b.checkAgainstTree(v)
 }
 
-// checkAgainstTree checks the instance's state against the tree, which
-// RestoreState does not see: the instance root, every robot's anchor and
-// every open node of the anchor index must be explored nodes at the depth
-// the state gives them. Index updates trust those depths, so a checkpoint
-// that gets one wrong would otherwise index out of range later in the run.
+// checkAgainstTree checks a restored state against the tree: the instance
+// root, every robot's anchor and every open node of the anchor index must
+// be explored nodes of the instance's subtree at the (relative) depth the
+// state gives them. Index updates trust those depths, and re-anchoring
+// walks parents up to the instance root, so a checkpoint that gets one
+// wrong would otherwise index out of range later in the run.
 func (b *BFDN) checkAgainstTree(v *sim.View) error {
-	at := func(u tree.NodeID, d int) bool { return v.Explored(u) && v.DepthOf(u)-b.rootDepth == d }
-	if !at(b.root, 0) {
+	if !b.seeded {
+		// seed rebuilds the anchors and the index from the tree.
+		if !v.Explored(b.root) || b.idx.Depths() != 0 {
+			return fmt.Errorf("core: unseeded instance at %d is not an explored node with an empty index: %w", b.root, snap.ErrCorrupt)
+		}
+		return nil
+	}
+	// in reports whether u is an explored node at relative depth d whose
+	// d-th ancestor is the instance root.
+	in := func(u tree.NodeID, d int) bool {
+		if !v.Explored(u) || v.DepthOf(u)-b.rootDepth != d {
+			return false
+		}
+		if b.root == tree.Root {
+			return true
+		}
+		for ; d > 0; d-- {
+			u = v.Parent(u)
+		}
+		return u == b.root
+	}
+	if !in(b.root, 0) {
 		return fmt.Errorf("core: instance root %d is not an explored node at depth %d: %w", b.root, b.rootDepth, snap.ErrCorrupt)
 	}
 	for j := range b.rs {
-		if st := &b.rs[j]; !at(st.anchor, st.anchorDepth) {
-			return fmt.Errorf("core: robot slot %d is anchored at %d, not an explored node at relative depth %d: %w", j, st.anchor, st.anchorDepth, snap.ErrCorrupt)
+		if st := &b.rs[j]; !in(st.anchor, st.anchorDepth) {
+			return fmt.Errorf("core: robot slot %d is anchored at %d, not an explored node of the instance subtree at relative depth %d: %w", j, st.anchor, st.anchorDepth, snap.ErrCorrupt)
 		}
 	}
 	for d := 0; d < b.idx.Depths(); d++ {
 		for _, u := range b.idx.Members(d) {
-			if !at(u, d) {
-				return fmt.Errorf("core: open node %d is not an explored node at relative depth %d: %w", u, d, snap.ErrCorrupt)
+			if !in(u, d) {
+				return fmt.Errorf("core: open node %d is not an explored node of the instance subtree at relative depth %d: %w", u, d, snap.ErrCorrupt)
 			}
 		}
 	}

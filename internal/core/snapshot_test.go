@@ -36,13 +36,15 @@ func TestRestoreRejectsHugeLengths(t *testing.T) {
 		e.Bool(false)
 		e.Ints(nil)
 	}
-	index := func(e *snap.Encoder) { // empty log, index up to its buckets
+	meta := func(e *snap.Encoder) { // empty log, index up to its meta table
 		stats(e)
 		e.Int(0)
 		e.Int(0)
 		e.Int(0)
-		e.Int32s(nil)
-		e.Int32s(nil)
+	}
+	index := func(e *snap.Encoder) { // empty meta table, index up to its buckets
+		meta(e)
+		e.Int(0)
 	}
 	for _, tc := range []struct {
 		name, want string
@@ -51,6 +53,7 @@ func TestRestoreRejectsHugeLengths(t *testing.T) {
 		{"robot id", "not in the instance's team", func(e *snap.Encoder) { e.Ints([]int{huge}) }},
 		{"BF stack", "BF stack", func(e *snap.Encoder) { robot(e); e.Int(huge) }},
 		{"excursion log", "excursion log", func(e *snap.Encoder) { stats(e); e.Int(huge) }},
+		{"meta table", "meta table", func(e *snap.Encoder) { meta(e); e.Int(huge) }},
 		{"bucket count", "bucket count", func(e *snap.Encoder) { index(e); e.Int(huge) }},
 		{"bucket members", "index bucket:", func(e *snap.Encoder) { index(e); e.Int(1); e.Int(huge) }},
 		{"bucket heap", "index heap", func(e *snap.Encoder) { index(e); e.Int(1); e.Int(0); e.Int(huge) }},
@@ -59,8 +62,12 @@ func TestRestoreRejectsHugeLengths(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var e snap.Encoder
 			tc.write(&e)
+			w, err := sim.NewWorld(tree.Path(3), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
 			d := snap.NewDecoder(e.Bytes())
-			err := NewAlgorithm(1).RestoreState(d)
+			err = NewAlgorithm(1).RestoreState(d, w.View(), nil)
 			if tc.want == "" {
 				if err != nil || d.Rest() != 0 {
 					t.Fatalf("RestoreState = %v with %d bytes left, want a clean restore", err, d.Rest())
@@ -75,7 +82,8 @@ func TestRestoreRejectsHugeLengths(t *testing.T) {
 }
 
 // indexWire is the anchor index's checkpoint layout (anchor.Index.Snapshot)
-// decoded into plain fields, so a test can corrupt one and re-encode.
+// decoded into plain fields, so a test can corrupt one and re-encode. The
+// meta table's (position, load) pairs are split into pos and loads.
 type indexWire struct {
 	minDepth   int
 	loads, pos []int32
@@ -91,7 +99,12 @@ type bucketWire struct {
 func decodeIndexWire(t *testing.T, buf []byte) indexWire {
 	t.Helper()
 	d := snap.NewDecoder(buf)
-	w := indexWire{minDepth: d.Int(), loads: d.Int32s(), pos: d.Int32s()}
+	w := indexWire{minDepth: d.Int()}
+	w.pos = make([]int32, d.SliceLen())
+	w.loads = make([]int32, len(w.pos))
+	for i := range w.pos {
+		w.pos[i], w.loads[i] = d.Int32(), d.Int32()
+	}
 	w.buckets = make([]bucketWire, d.SliceLen())
 	for i := range w.buckets {
 		b := &w.buckets[i]
@@ -113,8 +126,11 @@ func decodeIndexWire(t *testing.T, buf []byte) indexWire {
 
 func (w indexWire) encode(e *snap.Encoder) {
 	e.Int(w.minDepth)
-	e.Int32s(w.loads)
-	e.Int32s(w.pos)
+	e.Int(len(w.pos))
+	for i := range w.pos {
+		e.Int32(w.pos[i])
+		e.Int32(w.loads[i])
+	}
 	e.Int(len(w.buckets))
 	for _, b := range w.buckets {
 		e.Int(len(b.members))
@@ -238,12 +254,12 @@ func TestRestoreRejectsUnresumableIndex(t *testing.T) {
 	}
 }
 
-// TestResumeRejectsStateOffTheTree corrupts a BFDN checkpoint in ways
-// RestoreState cannot see without the tree: a robot anchored at a node
-// that does not exist, or at the wrong depth, and two open nodes swapped
-// between their depth buckets (positions and heap entries kept
-// consistent). The first round of the resumed run must return an error
-// instead of indexing out of range.
+// TestResumeRejectsStateOffTheTree corrupts a BFDN checkpoint in ways only
+// the tree can reveal: a robot anchored at a node that does not exist, or
+// at the wrong depth, and two open nodes swapped between their depth
+// buckets (positions and heap entries kept consistent). RestoreCheckpoint
+// must reject each one instead of leaving the resumed run to index out of
+// range; the uncorrupted checkpoint must restore and run to completion.
 func TestResumeRejectsStateOffTheTree(t *testing.T) {
 	ckpt, fresh := bfdnCheckpoint(t)
 	swap := func(iw *indexWire) { // first members of the first two open buckets
@@ -308,18 +324,19 @@ func TestResumeRejectsStateOffTheTree(t *testing.T) {
 				t.Fatal(err)
 			}
 			w, a = fresh()
-			if events, err = sim.RestoreCheckpoint(state, w, a); err != nil {
-				t.Fatalf("RestoreCheckpoint = %v; the corruption needs the tree to be seen", err)
-			}
-			res, err := sim.RunCheckpointedContext(context.Background(), w, a, 0, events, 0, nil)
-			if tc.want == "" {
-				if err != nil || !res.FullyExplored {
-					t.Fatalf("resumed run: %v, fully explored %v", err, res.FullyExplored)
+			events, err = sim.RestoreCheckpoint(state, w, a)
+			if tc.want != "" {
+				if !errors.Is(err, snap.ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("RestoreCheckpoint = %v, want a corrupt-state error about %q", err, tc.want)
 				}
 				return
 			}
-			if !errors.Is(err, snap.ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("resumed run = %v, want a corrupt-state error about %q", err, tc.want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sim.RunCheckpointedContext(context.Background(), w, a, 0, events, 0, nil)
+			if err != nil || !res.FullyExplored {
+				t.Fatalf("resumed run: %v, fully explored %v", err, res.FullyExplored)
 			}
 		})
 	}

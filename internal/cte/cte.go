@@ -172,13 +172,16 @@ func (c *CTE) decideGroup(v *sim.View, node tree.NodeID, robots []posEntry) erro
 }
 
 // SnapshotState implements sim.Snapshotter (DESIGN.md S30). CTE's only
-// cross-round memory is its open-edge ledger; the grouping and target
-// buffers are rebuilt from the view every round and are skipped.
-func (c *CTE) SnapshotState(e *snap.Encoder) { c.open.Snapshot(e, c.k) }
+// cross-round memory is its open-edge ledger, which RestoreState rebuilds
+// from the restored world, so the checkpoint holds nothing of CTE's own;
+// the grouping and target buffers are rebuilt from the view every round.
+func (c *CTE) SnapshotState(*snap.Encoder) {}
 
-// RestoreState implements sim.Snapshotter; c must have been constructed (or
-// Reset) for the snapshot's robot count.
-func (c *CTE) RestoreState(d *snap.Decoder) error { return c.open.Restore(d, c.k) }
+// RestoreState implements sim.Snapshotter.
+func (c *CTE) RestoreState(_ *snap.Decoder, v *sim.View, pending []sim.ExploreEvent) error {
+	c.open.Rebuild(v, pending)
+	return nil
+}
 
 // NewAlgorithm is a convenience constructor mirroring core.NewAlgorithm.
 func NewAlgorithm(k int) *CTE { return New(k) }

@@ -42,9 +42,6 @@ type Levelwise struct {
 	plans  []plan
 	moves  []sim.Move
 	seeded bool
-	// restored is set by RestoreState: the next SelectMoves checks the
-	// restored state against the tree before using it.
-	restored bool
 	// Phases counts completed assignment phases (for tests).
 	Phases int
 }
@@ -97,12 +94,6 @@ func (l *Levelwise) SelectMoves(v *sim.View, events []sim.ExploreEvent) ([]sim.M
 	if !l.seeded {
 		l.seeded = true
 		l.addOpen(tree.Root, v.DanglingAt(tree.Root))
-	}
-	if l.restored {
-		if err := l.checkAgainstTree(v); err != nil {
-			return nil, err
-		}
-		l.restored = false
 	}
 	for _, e := range events {
 		if c := l.openCount[e.Parent] - 1; c > 0 {

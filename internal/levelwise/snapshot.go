@@ -36,8 +36,10 @@ func (l *Levelwise) SnapshotState(e *snap.Encoder) {
 }
 
 // RestoreState implements sim.Snapshotter; l must have been constructed for
-// the snapshot's robot count.
-func (l *Levelwise) RestoreState(d *snap.Decoder) error {
+// the snapshot's robot count. The decoded state is checked against the
+// restored world v (checkAgainstTree); the pending events need no
+// treatment, since the next SelectMoves folds them into the open counts.
+func (l *Levelwise) RestoreState(d *snap.Decoder, v *sim.View, _ []sim.ExploreEvent) error {
 	k := d.Int()
 	if err := d.Err(); err != nil {
 		return err
@@ -79,13 +81,15 @@ func (l *Levelwise) RestoreState(d *snap.Decoder) error {
 		p.explore = tree.NodeID(d.Int32())
 		p.up = d.Int()
 	}
-	l.restored = true
-	return d.Err()
+	if err := d.Err(); err != nil {
+		return err
+	}
+	return l.checkAgainstTree(v)
 }
 
-// checkAgainstTree checks a restored state against the tree, which
-// RestoreState does not see: every open-list node, every node on a plan's
-// descent and every node a plan explores from must be explored.
+// checkAgainstTree checks a restored state against the tree: every
+// open-list node, every node on a plan's descent and every node a plan
+// explores from must be explored.
 func (l *Levelwise) checkAgainstTree(v *sim.View) error {
 	for _, u := range l.openList {
 		if !v.Explored(u) {

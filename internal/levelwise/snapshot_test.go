@@ -42,7 +42,11 @@ func TestRestoreRejectsHugeLengths(t *testing.T) {
 			if tc.name == "plan" && len(e.Bytes()) != 10 {
 				t.Fatalf("repro buffer is %d bytes, want 10", len(e.Bytes()))
 			}
-			err := New(1).RestoreState(snap.NewDecoder(e.Bytes()))
+			w, err := sim.NewWorld(tree.Path(3), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = New(1).RestoreState(snap.NewDecoder(e.Bytes()), w.View(), nil)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("RestoreState = %v, want an error about the %s", err, tc.want)
 			}
@@ -51,10 +55,11 @@ func TestRestoreRejectsHugeLengths(t *testing.T) {
 }
 
 // TestResumeRejectsStateOffTheTree corrupts a level-wise checkpoint with
-// node ids RestoreState cannot check without the tree: a plan that
-// explores from node -25 (the fuzzer's find), a descent through node -3,
-// and an open-list node past the tree. The first round of the resumed run
-// must return an error instead of indexing out of range.
+// node ids only the tree can reveal: a plan that explores from node -25
+// (the fuzzer's find), a descent through node -3, and an open-list node
+// past the tree. RestoreCheckpoint must reject each one instead of leaving
+// the resumed run to index out of range; the uncorrupted checkpoint must
+// restore and run to completion.
 func TestResumeRejectsStateOffTheTree(t *testing.T) {
 	const k = 4
 	tr := tree.Random(200, 10, rand.New(rand.NewSource(3)))
@@ -95,18 +100,19 @@ func TestResumeRejectsStateOffTheTree(t *testing.T) {
 			}
 			w, _ = sim.NewWorld(tr, k)
 			l = New(k)
-			if events, err = sim.RestoreCheckpoint(state, w, l); err != nil {
-				t.Fatalf("RestoreCheckpoint = %v; the corruption needs the tree to be seen", err)
-			}
-			res, err := sim.RunCheckpointedContext(context.Background(), w, l, 0, events, 0, nil)
-			if tc.want == "" {
-				if err != nil || !res.FullyExplored {
-					t.Fatalf("resumed run: %v, fully explored %v", err, res.FullyExplored)
+			events, err = sim.RestoreCheckpoint(state, w, l)
+			if tc.want != "" {
+				if !errors.Is(err, snap.ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("RestoreCheckpoint = %v, want a corrupt-state error about %q", err, tc.want)
 				}
 				return
 			}
-			if !errors.Is(err, snap.ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("resumed run = %v, want a corrupt-state error about %q", err, tc.want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sim.RunCheckpointedContext(context.Background(), w, l, 0, events, 0, nil)
+			if err != nil || !res.FullyExplored {
+				t.Fatalf("resumed run: %v, fully explored %v", err, res.FullyExplored)
 			}
 		})
 	}

@@ -1,6 +1,9 @@
 package offline
 
-import "bfdn/internal/snap"
+import (
+	"bfdn/internal/sim"
+	"bfdn/internal/snap"
+)
 
 // SnapshotState implements sim.Snapshotter (DESIGN.md S30). Online DFS is
 // stateless — every round is decided from the view alone — so its
@@ -8,4 +11,4 @@ import "bfdn/internal/snap"
 func (DFS) SnapshotState(*snap.Encoder) {}
 
 // RestoreState implements sim.Snapshotter; there is nothing to restore.
-func (DFS) RestoreState(*snap.Decoder) error { return nil }
+func (DFS) RestoreState(*snap.Decoder, *sim.View, []sim.ExploreEvent) error { return nil }

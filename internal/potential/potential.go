@@ -262,14 +262,17 @@ func (p *Potential) stepTowards(v *sim.View, pos tree.NodeID) sim.Move {
 
 // SnapshotState implements sim.Snapshotter (DESIGN.md S30). The Potential
 // Function Method is memoryless beyond its open-edge ledger (the potential
-// of arXiv:2311.01354 is a function of those counts alone), so the ledger
-// is the whole checkpoint; the move buffer is rewritten every round and the
-// resolver's stack and liveFrom cursor are rebuilt.
-func (p *Potential) SnapshotState(e *snap.Encoder) { p.open.Snapshot(e, p.k) }
+// of arXiv:2311.01354 is a function of those counts alone), which
+// RestoreState rebuilds from the restored world, so the checkpoint is
+// empty; the move buffer is rewritten every round and the resolver's stack
+// and liveFrom cursor are rebuilt.
+func (p *Potential) SnapshotState(*snap.Encoder) {}
 
-// RestoreState implements sim.Snapshotter; p must have been constructed (or
-// Reset) for the snapshot's robot count.
-func (p *Potential) RestoreState(d *snap.Decoder) error { return p.open.Restore(d, p.k) }
+// RestoreState implements sim.Snapshotter.
+func (p *Potential) RestoreState(_ *snap.Decoder, v *sim.View, pending []sim.ExploreEvent) error {
+	p.open.Rebuild(v, pending)
+	return nil
+}
 
 // Recycle is the factory-reset hook for the sweep engine's algorithm-reuse
 // path (sweep.Point.ResetAlgorithm): it resets and returns the worker's

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"bfdn/internal/core"
+	"bfdn/internal/sim"
 	"bfdn/internal/snap"
 	"bfdn/internal/tree"
 )
@@ -31,8 +32,10 @@ func (b *BFDNL) SnapshotState(e *snap.Encoder) {
 }
 
 // RestoreState implements sim.Snapshotter; b must have been constructed for
-// the snapshot's k and ℓ.
-func (b *BFDNL) RestoreState(d *snap.Decoder) error {
+// the snapshot's k and ℓ. Every leaf's core instance is checked against the
+// restored world v as it is decoded, its anchors and open nodes included:
+// they must lie in that leaf's subtree.
+func (b *BFDNL) RestoreState(d *snap.Decoder, v *sim.View, pending []sim.ExploreEvent) error {
 	k := d.Int()
 	ell := d.Int()
 	if err := d.Err(); err != nil {
@@ -47,7 +50,7 @@ func (b *BFDNL) RestoreState(d *snap.Decoder) error {
 	if b.phaseJ < 0 || b.phaseJ > 62 {
 		return fmt.Errorf("recursive: corrupt phase index %d", b.phaseJ)
 	}
-	top, err := decodeAnchored(d, b.s(), b.ell, b.k)
+	top, err := decodeAnchored(d, v, pending, b.s(), b.ell, b.k)
 	if err != nil {
 		return err
 	}
@@ -105,10 +108,11 @@ func encodeAnchored(e *snap.Encoder, a Anchored) {
 	}
 }
 
-// decodeAnchored reconstructs one node of the instance tree. baseStep is
-// the phase's base step s, maxLevel the node's highest possible level and k
-// the robot count; they bound the decoded parameters.
-func decodeAnchored(d *snap.Decoder, baseStep, maxLevel, k int) (Anchored, error) {
+// decodeAnchored reconstructs one node of the instance tree and restores
+// its leaves against the restored world v and the pending events. baseStep
+// is the phase's base step s, maxLevel the node's highest possible level
+// and k the robot count; they bound the decoded parameters.
+func decodeAnchored(d *snap.Decoder, v *sim.View, pending []sim.ExploreEvent, baseStep, maxLevel, k int) (Anchored, error) {
 	tag := d.Uint64()
 	if err := d.Err(); err != nil {
 		return nil, err
@@ -122,7 +126,7 @@ func decodeAnchored(d *snap.Decoder, baseStep, maxLevel, k int) (Anchored, error
 			return nil, fmt.Errorf("recursive: corrupt BFDN₁ node header")
 		}
 		a := &bfdn1{b: core.NewInstance(robots, root, core.WithMaxAnchorDepth(depth))}
-		if err := a.b.RestoreState(d); err != nil {
+		if err := a.b.RestoreState(d, v, pending); err != nil {
 			return nil, err
 		}
 		return a, nil
@@ -148,7 +152,7 @@ func decodeAnchored(d *snap.Decoder, baseStep, maxLevel, k int) (Anchored, error
 			return nil, fmt.Errorf("recursive: corrupt child count %d", nc)
 		}
 		for i := 0; i < nc; i++ {
-			c, err := decodeAnchored(d, baseStep, level-1, k)
+			c, err := decodeAnchored(d, v, pending, baseStep, level-1, k)
 			if err != nil {
 				return nil, err
 			}

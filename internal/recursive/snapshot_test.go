@@ -1,10 +1,17 @@
 package recursive
 
 import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
+	"bfdn/internal/sim"
 	"bfdn/internal/snap"
+	"bfdn/internal/tree"
 )
 
 // TestRestoreRejectsCorruptCheckpoint feeds RestoreState BFDN_2 (k=4)
@@ -57,8 +64,12 @@ func TestRestoreRejectsCorruptCheckpoint(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			w, err := sim.NewWorld(tree.Path(5), 4)
+			if err != nil {
+				t.Fatal(err)
+			}
 			d := snap.NewDecoder(tc.buf)
-			err = b.RestoreState(d)
+			err = b.RestoreState(d, w.View(), nil)
 			if tc.want == "" {
 				if err != nil || d.Rest() != 0 {
 					t.Fatalf("RestoreState = %v with %d bytes left, want a clean restore", err, d.Rest())
@@ -70,4 +81,135 @@ func TestRestoreRejectsCorruptCheckpoint(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRestoreRejectsAnchorOutsideInstance moves the anchor of one level-1
+// instance of a real BFDN_2 checkpoint (k=4, random n=120) to an explored
+// node outside that instance's subtree, at the same relative depth, and
+// changes nothing else. The depth checks alone accept such an anchor;
+// RestoreCheckpoint must reject it as corrupt because it lies outside the
+// subtree. The uncorrupted checkpoint must restore and run to completion.
+func TestRestoreRejectsAnchorOutsideInstance(t *testing.T) {
+	ckpt, fresh := anchorOutsideInstance(t)
+	w, b := fresh()
+	events, err := sim.RestoreCheckpoint(ckpt.orig, w, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sim.RunCheckpointedContext(context.Background(), w, b, 0, events, 0, nil)
+	if err != nil || !res.FullyExplored {
+		t.Fatalf("resumed run: %v, fully explored %v", err, res.FullyExplored)
+	}
+
+	w, b = fresh()
+	_, err = sim.RestoreCheckpoint(ckpt.moved, w, b)
+	want := fmt.Sprintf("anchored at %d", ckpt.to)
+	if !errors.Is(err, snap.ErrCorrupt) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("RestoreCheckpoint = %v, want a corrupt-state error about %q", err, want)
+	}
+}
+
+// movedAnchor is a BFDN_2 checkpoint before and after moving robot slot 0
+// of one level-1 instance from its anchor to node to.
+type movedAnchor struct {
+	orig, moved []byte
+	to          tree.NodeID
+}
+
+// anchorOutsideInstance runs BFDN_2 with k=4 on the random tree n=120,
+// depth 12, seed 5, checkpointing every round, and returns the first
+// checkpoint in which robot slot 0 of a level-1 instance below the tree
+// root is anchored away from the tree root, with that anchor moved to the
+// first explored node of the anchor's depth outside the instance subtree.
+// It also returns a constructor of fresh (world, algorithm) pairs.
+func anchorOutsideInstance(t *testing.T) (movedAnchor, func() (*sim.World, *BFDNL)) {
+	t.Helper()
+	const k = 4
+	tr, err := tree.Generate(tree.FamilyRandom, 120, 12, rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := func() (*sim.World, *BFDNL) {
+		w, err := sim.NewWorld(tr, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := NewBFDNL(k, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w, b
+	}
+	var ckpts [][]byte
+	w, b := fresh()
+	if _, err := sim.RunCheckpointedContext(context.Background(), w, b, 0, nil, 1, func(state []byte) error {
+		ckpts = append(ckpts, append([]byte(nil), state...))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, ckpt := range ckpts {
+		w, b := fresh()
+		if _, err := sim.RestoreCheckpoint(ckpt, w, b); err != nil {
+			t.Fatal(err)
+		}
+		v := w.View()
+		for _, leaf := range leaves(b.top) {
+			root, a := leaf.b.Root(), leaf.b.Anchor(0)
+			if root == tree.Root || a == tree.Root {
+				continue
+			}
+			to := tree.Nil
+			for u := tree.NodeID(0); int(u) < tr.N(); u++ {
+				if v.Explored(u) && v.DepthOf(u) == v.DepthOf(a) && ancestorAtDepth(v, u, v.DepthOf(root)) != root {
+					to = u
+					break
+				}
+			}
+			if to == tree.Nil {
+				continue
+			}
+			// The leaf's state is a unique run of the checkpoint, and the
+			// slot-0 anchor follows its header: the team, root, root depth
+			// and seeding flag.
+			var le snap.Encoder
+			leaf.b.SnapshotState(&le)
+			state := le.Bytes()
+			if bytes.Count(ckpt, state) != 1 {
+				continue
+			}
+			d := snap.NewDecoder(state)
+			d.Ints()
+			d.Int32()
+			d.Int()
+			d.Bool()
+			start := len(state) - d.Rest()
+			if got := tree.NodeID(d.Int32()); got != a || d.Err() != nil {
+				t.Fatalf("decoded slot-0 anchor %d (%v), want %d", got, d.Err(), a)
+			}
+			end := len(state) - d.Rest()
+			var ae snap.Encoder
+			ae.Int32(int32(to))
+			at := bytes.Index(ckpt, state)
+			moved := append(append(append([]byte(nil), ckpt[:at+start]...), ae.Bytes()...), ckpt[at+end:]...)
+			return movedAnchor{orig: ckpt, moved: moved, to: to}, fresh
+		}
+	}
+	t.Fatal("no checkpoint has a level-1 instance anchor to move")
+	return movedAnchor{}, nil
+}
+
+// leaves lists the core instances of an instance tree.
+func leaves(a Anchored) []*bfdn1 {
+	switch x := a.(type) {
+	case *bfdn1:
+		return []*bfdn1{x}
+	case *divideDepth:
+		var out []*bfdn1
+		for _, c := range x.children {
+			out = append(out, leaves(c)...)
+		}
+		return out
+	}
+	return nil
 }

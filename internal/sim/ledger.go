@@ -1,11 +1,6 @@
 package sim
 
-import (
-	"fmt"
-
-	"bfdn/internal/snap"
-	"bfdn/internal/tree"
-)
+import "bfdn/internal/tree"
 
 // OpenLedger keeps open(T(v)), the number of dangling edges in the explored
 // subtree T(v), for every explored node v. CTE, Tree-Mining and the
@@ -71,22 +66,30 @@ func (l *OpenLedger) Reset() {
 	l.seeded = false
 }
 
-// Snapshot writes k, the seeding flag and the counts: the whole checkpoint
-// (DESIGN.md S30) of an algorithm for k robots whose only cross-round
-// memory is the ledger.
-func (l *OpenLedger) Snapshot(e *snap.Encoder, k int) {
-	e.Int(k)
-	e.Bool(l.seeded)
-	e.Int32s(l.counts)
-}
-
-// Restore reads what Snapshot wrote back into l. It fails if the snapshot
-// was taken for another robot count than k.
-func (l *OpenLedger) Restore(d *snap.Decoder, k int) error {
-	if got := d.Int(); d.Err() == nil && got != k {
-		return fmt.Errorf("sim: snapshot is for k=%d, instance has k=%d", got, k)
+// Rebuild derives the counts from a restored world (DESIGN.md S30), so the
+// ledger has no checkpoint of its own: it sums the world's dangling counts
+// over every explored subtree, then takes out what the next Update adds for
+// the pending events. After that Update the counts equal the world's.
+func (l *OpenLedger) Rebuild(v *View, pending []ExploreEvent) {
+	c := make([]int32, len(v.w.dangling))
+	// Explored nodes in preorder; summed in reverse, every subtree is
+	// complete before it is added into its parent.
+	order := []tree.NodeID{tree.Root}
+	for i := 0; i < len(order); i++ {
+		order = append(order, v.ExploredChildren(order[i])...)
 	}
-	l.seeded = d.Bool()
-	l.counts = append(l.counts[:0], d.Int32s()...)
-	return d.Err()
+	for i := len(order) - 1; i >= 0; i-- {
+		u := order[i]
+		c[u] += v.w.dangling[u]
+		if u != tree.Root {
+			c[v.Parent(u)] += c[u]
+		}
+	}
+	for _, e := range pending {
+		c[e.Child] -= int32(e.NewDangling)
+		for u := e.Parent; u != tree.Nil; u = v.Parent(u) {
+			c[u] -= int32(e.NewDangling - 1)
+		}
+	}
+	l.counts, l.seeded = c, true
 }

@@ -2,20 +2,19 @@ package sim_test
 
 import (
 	"math/rand"
-	"slices"
 	"testing"
 
 	"bfdn/internal/cte"
 	"bfdn/internal/potential"
 	"bfdn/internal/sim"
-	"bfdn/internal/snap"
 	"bfdn/internal/tree"
 	"bfdn/internal/treemining"
 )
 
 // TestOpenSubtreeCountsExact validates the ledger's incremental per-subtree
-// dangling-edge counts against a brute-force recount after every round, on
-// the event streams of each algorithm that decides from them. The counts
+// dangling-edge counts, and the counts Rebuild derives from the world at a
+// checkpoint, against a brute-force recount after every round, on the event
+// streams of each algorithm that decides from them. The counts
 // drive every routing decision of those algorithms, so silent drift would
 // corrupt them without necessarily failing the end-to-end checks.
 func TestOpenSubtreeCountsExact(t *testing.T) {
@@ -51,32 +50,33 @@ func TestOpenSubtreeCountsExact(t *testing.T) {
 					break
 				}
 				events = ev
+				// A ledger rebuilt from the world as a restore would see it
+				// (events pending) agrees with the incremental one before
+				// and after the Update that folds the events in.
+				var rb sim.OpenLedger
+				rb.Rebuild(v, events)
+				for node := tree.NodeID(0); int(node) < tr.N(); node++ {
+					if v.Explored(node) && rb.Open(node) != l.Open(node) {
+						t.Fatalf("round %d node %d: rebuilt %d, ledger %d before the update", round, node, rb.Open(node), l.Open(node))
+					}
+				}
 				l.Update(v, events)
+				rb.Update(v, events)
 				for node := tree.NodeID(0); int(node) < tr.N(); node++ {
 					if !v.Explored(node) {
 						continue
 					}
-					if got, want := int(l.Open(node)), recountOpen(v, node); got != want {
+					want := recountOpen(v, node)
+					if got := int(l.Open(node)); got != want {
 						t.Fatalf("round %d node %d: ledger %d, recount %d", round, node, got, want)
+					}
+					if got := int(rb.Open(node)); got != want {
+						t.Fatalf("round %d node %d: rebuilt ledger %d, recount %d", round, node, got, want)
 					}
 				}
 			}
 			if !w.FullyExplored() {
 				t.Fatal("incomplete")
-			}
-
-			// The checkpoint encoding round-trips the counts.
-			var e snap.Encoder
-			l.Snapshot(&e, k)
-			var back sim.OpenLedger
-			if err := back.Restore(snap.NewDecoder(e.Bytes()), k); err != nil {
-				t.Fatal(err)
-			}
-			if !slices.Equal(back.Counts(), l.Counts()) {
-				t.Fatal("restored counts differ")
-			}
-			if err := back.Restore(snap.NewDecoder(e.Bytes()), k+1); err == nil {
-				t.Fatal("restore for another robot count accepted")
 			}
 		})
 	}

@@ -17,47 +17,38 @@ import (
 )
 
 // Snapshotter is the optional checkpoint interface of an Algorithm: encode
-// every piece of state that influences future SelectMoves calls, in a fixed
-// order, such that RestoreState on a freshly constructed instance (same
-// constructor parameters, then Reset as for recycling) reproduces it
-// exactly. Scratch buffers that are rebuilt from scratch each round are
-// skipped; anything with cross-round memory — anchors, stacks, open-node
-// counts, lazy-heap internals whose tie-breaking depends on insertion
-// history — is serialized verbatim.
+// every piece of state that influences future SelectMoves calls and that
+// the restored world does not fix, in a fixed order, such that RestoreState
+// on a freshly constructed instance (same constructor parameters, then
+// Reset as for recycling) reproduces it exactly. RestoreState sees the
+// restored world v and the pending events: it derives what they fix
+// (open-edge ledgers, position depths) and checks the rest against the
+// tree. Scratch buffers rebuilt each round are skipped; anything else with
+// cross-round memory — anchors, stacks, lazy-heap internals whose
+// tie-breaking depends on insertion history — is serialized verbatim.
 type Snapshotter interface {
 	SnapshotState(e *snap.Encoder)
-	RestoreState(d *snap.Decoder) error
+	RestoreState(d *snap.Decoder, v *View, pending []ExploreEvent) error
 }
 
 // checkpointVersion tags the EncodeCheckpoint format; a mismatch on restore
 // means the snapshot was written by an incompatible binary.
-const checkpointVersion = 1
+const checkpointVersion = 2
 
 // Snapshot appends the world's mutable exploration state to e: positions,
-// explored set, per-node explored-children cursors, the round counter and
-// the full metrics. Per-round reservation state is deliberately excluded —
-// checkpoints are taken between rounds, where no reservation is live (a
-// Ticket never outlives the round that issued it). The explored and cursor
-// arrays are materialized from the flattened dangling words (DESIGN.md
-// S31), keeping the wire format identical to the pre-flattening layout.
+// the per-node dangling words (DESIGN.md S31; -1 marks an unexplored node),
+// the round counter and the full metrics. The explored set, its count and
+// the child cursors all follow from the dangling words. Per-round
+// reservation state is deliberately excluded — checkpoints are taken
+// between rounds, where no reservation is live (a Ticket never outlives
+// the round that issued it).
 func (w *World) Snapshot(e *snap.Encoder) {
-	n := w.t.N()
 	e.Int(w.k)
-	e.Int(n)
+	e.Int(w.t.N())
 	for _, p := range w.pos {
 		e.Int32(int32(p))
 	}
-	explored := make([]bool, n)
-	nextKid := make([]int32, n)
-	for v := 0; v < n; v++ {
-		if w.dangling[v] >= 0 {
-			explored[v] = true
-			nextKid[v] = int32(w.nextKid(tree.NodeID(v)))
-		}
-	}
-	e.Bools(explored)
-	e.Int(w.exploredCount)
-	e.Int32s(nextKid)
+	e.Int32s(w.dangling)
 	e.Int(w.round)
 	e.Int(w.metrics.Rounds)
 	e.Int(w.metrics.TotalRounds)
@@ -83,31 +74,19 @@ func (w *World) Restore(d *snap.Decoder) error {
 	for i := range w.pos {
 		w.pos[i] = tree.NodeID(d.Int32())
 	}
-	explored := d.Bools()
-	if d.Err() == nil && len(explored) != n {
-		return fmt.Errorf("sim: snapshot explored set has %d nodes, want %d", len(explored), n)
-	}
-	w.exploredCount = d.Int()
-	nextKid := d.Int32s()
-	if d.Err() == nil && len(nextKid) != n {
-		return fmt.Errorf("sim: snapshot cursor set has %d nodes, want %d", len(nextKid), n)
-	}
-	if d.Err() == nil {
-		if err := w.checkRestored(explored, nextKid); err != nil {
+	if dangling := d.Int32s(); d.Err() == nil {
+		if len(dangling) != n {
+			return fmt.Errorf("sim: snapshot has %d dangling words, want %d", len(dangling), n)
+		}
+		count, err := w.checkRestored(dangling)
+		if err != nil {
 			return err
 		}
-		// Rebuild the flattened per-node words; every stored reservation
-		// belonged to a round strictly before the restored one, so none can
-		// be live. Advancing the stamp base past every stamp this world has
-		// written invalidates the res table without sweeping it.
+		copy(w.dangling, dangling)
+		w.exploredCount = count
+		// Advancing the stamp base past every stamp this world has written
+		// invalidates the res table without sweeping it.
 		w.stampBase += int64(w.round) + 1
-		for v := 0; v < n; v++ {
-			d := int32(-1)
-			if explored[v] {
-				d = int32(w.t.NumChildren(tree.NodeID(v))) - nextKid[v]
-			}
-			w.dangling[v] = d
-		}
 	}
 	w.round = d.Int()
 	if d.Err() == nil && w.round < 0 {
@@ -127,46 +106,43 @@ func (w *World) Restore(d *snap.Decoder) error {
 	return d.Err()
 }
 
-// checkRestored rejects a restored exploration state that a run could not
-// continue from: the root unexplored, an explored node under an unexplored
-// parent, a child cursor outside [0, NumChildren] or out of step with the
-// explored children (the world explores children in port order), an
-// explored count that disagrees with the set, or a robot off the explored
-// part of the tree.
-func (w *World) checkRestored(explored []bool, nextKid []int32) error {
-	if !explored[tree.Root] {
-		return fmt.Errorf("sim: snapshot leaves the root unexplored: %w", snap.ErrCorrupt)
+// checkRestored rejects dangling words a run could not continue from and
+// returns the number of explored nodes they mark: the root unexplored, a
+// word outside [-1, NumChildren], an explored node under an unexplored
+// parent, explored children that are not the port-order prefix the word
+// implies (the world explores children in port order), or a robot off the
+// explored part of the tree.
+func (w *World) checkRestored(dangling []int32) (int, error) {
+	if dangling[tree.Root] < 0 {
+		return 0, fmt.Errorf("sim: snapshot leaves the root unexplored: %w", snap.ErrCorrupt)
 	}
 	count := 0
-	for v, ok := range explored {
-		if !ok {
+	for v, dv := range dangling {
+		u := tree.NodeID(v)
+		kids := w.t.Children(u)
+		if dv < -1 || int(dv) > len(kids) {
+			return 0, fmt.Errorf("sim: snapshot dangling word %d of node %d is outside [-1, %d]: %w", dv, v, len(kids), snap.ErrCorrupt)
+		}
+		if dv < 0 {
 			continue
 		}
 		count++
-		u := tree.NodeID(v)
-		if p := w.t.Parent(u); u != tree.Root && !explored[p] {
-			return fmt.Errorf("sim: snapshot explores node %d under unexplored parent %d: %w", v, p, snap.ErrCorrupt)
+		if p := w.t.Parent(u); u != tree.Root && dangling[p] < 0 {
+			return 0, fmt.Errorf("sim: snapshot explores node %d under unexplored parent %d: %w", v, p, snap.ErrCorrupt)
 		}
-		kids := w.t.Children(u)
-		nk := int(nextKid[v])
-		if nk < 0 || nk > len(kids) {
-			return fmt.Errorf("sim: snapshot child cursor %d of node %d is outside [0, %d]: %w", nk, v, len(kids), snap.ErrCorrupt)
-		}
+		nk := len(kids) - int(dv)
 		for j, c := range kids {
-			if explored[c] != (j < nk) {
-				return fmt.Errorf("sim: snapshot child cursor %d of node %d disagrees with its explored children: %w", nk, v, snap.ErrCorrupt)
+			if (dangling[c] >= 0) != (j < nk) {
+				return 0, fmt.Errorf("sim: snapshot dangling count %d of node %d disagrees with its explored children: %w", dv, v, snap.ErrCorrupt)
 			}
 		}
 	}
-	if count != w.exploredCount {
-		return fmt.Errorf("sim: snapshot counts %d explored nodes, its explored set has %d: %w", w.exploredCount, count, snap.ErrCorrupt)
-	}
 	for i, p := range w.pos {
-		if uint(p) >= uint(len(explored)) || !explored[p] {
-			return fmt.Errorf("sim: snapshot puts robot %d on node %d, which is not explored: %w", i, p, snap.ErrCorrupt)
+		if uint(p) >= uint(len(dangling)) || dangling[p] < 0 {
+			return 0, fmt.Errorf("sim: snapshot puts robot %d on node %d, which is not explored: %w", i, p, snap.ErrCorrupt)
 		}
 	}
-	return nil
+	return count, nil
 }
 
 // EncodeCheckpoint serializes a mid-run (world, algorithm, pending events)
@@ -196,7 +172,8 @@ func EncodeCheckpoint(w *World, a Algorithm, events []ExploreEvent) ([]byte, err
 // RestoreCheckpoint reads an EncodeCheckpoint buffer back into a world and
 // algorithm prepared with the checkpoint's plan (same tree, robot count and
 // constructor options, freshly Reset). It returns the pending explore
-// events to hand to the first SelectMoves of the resumed run.
+// events to hand to the first SelectMoves of the resumed run. Every restore
+// check runs here, the algorithm's included, against the restored world.
 func RestoreCheckpoint(state []byte, w *World, a Algorithm) ([]ExploreEvent, error) {
 	s, ok := a.(Snapshotter)
 	if !ok {
@@ -222,6 +199,9 @@ func RestoreCheckpoint(state []byte, w *World, a Algorithm) ([]ExploreEvent, err
 			NewDangling: d.Int(),
 		}
 	}
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
 	n := uint(w.t.N())
 	for _, e := range events {
 		if uint(e.Parent) >= n || uint(e.Child) >= n || e.Child == tree.Root || w.t.Parent(e.Child) != e.Parent {
@@ -230,6 +210,12 @@ func RestoreCheckpoint(state []byte, w *World, a Algorithm) ([]ExploreEvent, err
 		if uint(e.Robot) >= uint(w.k) {
 			return nil, fmt.Errorf("sim: pending event %d→%d names robot %d of %d: %w", e.Parent, e.Child, e.Robot, w.k, snap.ErrCorrupt)
 		}
+		// The child was discovered in the last committed round, so nothing
+		// below it is explored yet: the world holds all its NewDangling
+		// edges as dangling.
+		if int(w.dangling[e.Child]) != e.NewDangling {
+			return nil, fmt.Errorf("sim: pending event %d→%d reports %d dangling edges, the world has %d: %w", e.Parent, e.Child, e.NewDangling, w.dangling[e.Child], snap.ErrCorrupt)
+		}
 	}
 	// ParentDangling is derived state and not part of the checkpoint format.
 	// Checkpoints are taken between rounds, so the restored world's dangling
@@ -237,18 +223,16 @@ func RestoreCheckpoint(state []byte, w *World, a Algorithm) ([]ExploreEvent, err
 	// are in round order, counts ascend from the final value) reproduces the
 	// per-event counts Apply recorded. The scan is quadratic in the (≤ k)
 	// pending events, which only runs once per restore.
-	if d.Err() == nil {
-		for i := range events {
-			later := 0
-			for _, e := range events[i+1:] {
-				if e.Parent == events[i].Parent {
-					later++
-				}
+	for i := range events {
+		later := 0
+		for _, e := range events[i+1:] {
+			if e.Parent == events[i].Parent {
+				later++
 			}
-			events[i].ParentDangling = w.danglingAt(events[i].Parent) + later
 		}
+		events[i].ParentDangling = w.danglingAt(events[i].Parent) + later
 	}
-	if err := s.RestoreState(d); err != nil {
+	if err := s.RestoreState(d, w.view, events); err != nil {
 		return nil, fmt.Errorf("sim: restore algorithm: %w", err)
 	}
 	if err := d.Err(); err != nil {

@@ -246,13 +246,16 @@ func (t *TreeMining) decideTeam(v *sim.View, node tree.NodeID, robots []posEntry
 
 // SnapshotState implements sim.Snapshotter (DESIGN.md S30). Tree-Mining's
 // only cross-round memory is its open-edge ledger, the reserve its
-// largest-remainder split is computed from each round; the grouping and
-// target buffers are rebuilt from the view every round and are skipped.
-func (t *TreeMining) SnapshotState(e *snap.Encoder) { t.open.Snapshot(e, t.k) }
+// largest-remainder split is computed from each round, which RestoreState
+// rebuilds from the restored world; the grouping and target buffers are
+// rebuilt from the view every round.
+func (t *TreeMining) SnapshotState(*snap.Encoder) {}
 
-// RestoreState implements sim.Snapshotter; t must have been constructed (or
-// Reset) for the snapshot's robot count.
-func (t *TreeMining) RestoreState(d *snap.Decoder) error { return t.open.Restore(d, t.k) }
+// RestoreState implements sim.Snapshotter.
+func (t *TreeMining) RestoreState(_ *snap.Decoder, v *sim.View, pending []sim.ExploreEvent) error {
+	t.open.Rebuild(v, pending)
+	return nil
+}
 
 // Recycle is the factory-reset hook for the sweep engine's algorithm-reuse
 // path (sweep.Point.ResetAlgorithm): it resets and returns the worker's

@@ -7,10 +7,15 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"bfdn/internal/sim"
+	"bfdn/internal/snap"
 )
 
 // errKill simulates a crash: the checkpoint save hook returns it to abort
@@ -125,20 +130,20 @@ func TestSnapshotRestoreByteIdentity(t *testing.T) {
 // compares a build with itself; the pins also hold the checkpoint bytes, and
 // so every algorithm's decisions up to round 3, to their recorded values.
 var checkpointPins = map[string]string{
-	"bfdn/random_n300_k4":       "ed019317f49a03966a624cf94abe804e777128e2ed52880d0543b5f145ea50c9",
-	"bfdn/comb_n160_k3":         "0c022b2eecb09defd58733ebd6188702f49553bfc34453099d9af46e1ea9929b",
-	"bfdnl/random_n300_k4":      "9c98c25d59a1afa2568326b80b55728e14c0223070a9a8e16d3ebd84fe14db86",
-	"bfdnl/comb_n160_k3":        "9aa7294bb8d95b54642eb4a392ff1f48ad62a9e0c0fa011a6102e820a0715f64",
-	"cte/random_n300_k4":        "d949b6540c2976121d3d3ae1ad17bbffef3f240018a607280fe880d7e12ece09",
-	"cte/comb_n160_k3":          "a688c9cfb1e799fcca44713c59bfd33947815cc96a35d583cc65db019bd66036",
-	"dfs/random_n300_k4":        "f20a7408ed109c38bd47b05b1aed9a4a95a3c682c07ad9bd9290beb3f4506c08",
-	"dfs/comb_n160_k3":          "849e056326a99788e9ec921bbb546143517b8785f1835d4b84c80e7c76bbc67e",
-	"levelwise/random_n300_k4":  "b46c8d365d1617133a719f06162977221525db41726b97f2289eb1c0c8902fcb",
-	"levelwise/comb_n160_k3":    "bc5a358a4bab3476d6438b2578b93851f7e742d7ff491fc3e87c6fc0f1d4ee64",
-	"treemining/random_n300_k4": "d949b6540c2976121d3d3ae1ad17bbffef3f240018a607280fe880d7e12ece09",
-	"treemining/comb_n160_k3":   "267c93b1dc7c2d7c6b143bbf1a3d45a45890bc1dc089a2daf8c75ce14d320065",
-	"potential/random_n300_k4":  "5266c3ada271dca9565eb73dbce116234b673f741c8870f9c6ff41586a8fecb9",
-	"potential/comb_n160_k3":    "204c699fc8e3d0a19ca43922ba77e474e9d6b2cfdd3ebee675e47f2d94314848",
+	"bfdn/random_n300_k4":       "3d9bb6962bf9a91e2e4a9447edf7e92c448c5fcc969feba0c5b4ed7eb98d6602",
+	"bfdn/comb_n160_k3":         "1577d20e322ee9f6cc71617b4e4530fee37d86b0bad77dd9ffa104e93f5853ce",
+	"bfdnl/random_n300_k4":      "3f6c1ae9e5ef5c70453b9ae4106b48c9c94b9b4c631be0812bfe0ce52373add5",
+	"bfdnl/comb_n160_k3":        "18ba56113a78384aace5c448ba41bb89f0d793b7c6632efbcf7180ac040bdbde",
+	"cte/random_n300_k4":        "90377554affddf3efaf984a9bd0a37a156eeaa911e49895a405e4fed86c8e311",
+	"cte/comb_n160_k3":          "206d79e599f1f227f79ae1ae9e7c60ec24a8504a98fad5c31d7141be32e1300b",
+	"dfs/random_n300_k4":        "0e74866ebc6a27d9f8f87d6231ff4b19216b45688a8610720c0b7e9b1b27dda8",
+	"dfs/comb_n160_k3":          "7629192dab25f2fdbd4e34af9df999c31be2c685f161069caad317750d9c9f83",
+	"levelwise/random_n300_k4":  "f90d1c6c7c167cc36d6aa7683607dd17ea946144377270da4944e50f2b1bf6f6",
+	"levelwise/comb_n160_k3":    "4c0c6961b005ff4c7f383fd0078f7b127238a4d26c0e81d169841b1399abb2df",
+	"treemining/random_n300_k4": "90377554affddf3efaf984a9bd0a37a156eeaa911e49895a405e4fed86c8e311",
+	"treemining/comb_n160_k3":   "ff91a43479d96d17520df90186cfc7527e562ae23d767a38747f7a0283b77081",
+	"potential/random_n300_k4":  "dfe213403885c3b1487438db61440ac2b5cbeaa3f8aa0675a149ac7503eff5e6",
+	"potential/comb_n160_k3":    "b77645f048563fe9e77073c5a4bcd8f02d5f26f4195b595683a79b9cdc192fb4",
 }
 
 // TestRestoreCheckpointValidation exercises the failure paths: wrong robot
@@ -196,45 +201,114 @@ func TestRestoreCheckpointValidation(t *testing.T) {
 // or fail, but it must never panic, hang or allocate without bound. A
 // checkpoint that restores must also resume, so the fuzzer then runs it on
 // for up to 400 rounds; that run may end in any error, but it must not
-// panic either. The seeds are one valid checkpoint per algorithm.
+// panic either. which picks the algorithm (which mod 7, in Algorithms()
+// order) and the tree (which/7 mod 2): random n=120 trees of depth 8,
+// seed 3, and of depth 12, seed 5, on which BFDN_2 builds level-1
+// instances below the tree root. The seeds are one valid checkpoint per
+// algorithm and tree.
 func FuzzRestoreCheckpoint(f *testing.F) {
-	const k = 4
-	tr, err := GenerateTree(FamilyRandom, 120, 8, 3)
-	if err != nil {
-		f.Fatal(err)
-	}
-	algs := Algorithms()
-	build := func(alg Algorithm) (*sim.World, sim.Algorithm) {
-		cfg := defaultConfig()
-		cfg.alg = alg
-		a, _, err := newSimAlgorithm(tr, k, cfg)
-		if err != nil {
-			f.Fatal(err)
-		}
-		w, err := sim.NewWorld(tr.t, k)
-		if err != nil {
-			f.Fatal(err)
-		}
-		return w, a
-	}
-	for i, alg := range algs {
-		w, a := build(alg)
+	build := fuzzBuild(f)
+	for i := 0; i < 2*len(Algorithms()); i++ {
+		w, a := build(uint8(i))
 		var ckpt []byte
 		if _, err := sim.RunCheckpointedContext(context.Background(), w, a, 0, nil, 5,
 			func(state []byte) error {
 				ckpt = append([]byte(nil), state...)
 				return errKill
 			}); !errors.Is(err, errKill) {
-			f.Fatalf("%s: want errKill, got %v", alg, err)
+			f.Fatalf("seed %d: want errKill, got %v", i, err)
 		}
 		f.Add(uint8(i), ckpt)
 	}
 	f.Fuzz(func(t *testing.T, which uint8, state []byte) {
-		w, a := build(algs[int(which)%len(algs)])
+		w, a := build(which)
 		events, err := sim.RestoreCheckpoint(state, w, a)
 		if err != nil {
 			return
 		}
 		_, _ = sim.RunCheckpointedContext(context.Background(), w, a, int64(w.Round())+400, events, 0, nil)
 	})
+}
+
+// fuzzBuild returns FuzzRestoreCheckpoint's constructor of fresh (world,
+// algorithm) pairs with k=4, selected by which as the fuzzer documents.
+func fuzzBuild(tb testing.TB) func(which uint8) (*sim.World, sim.Algorithm) {
+	const k = 4
+	var trees []*Tree
+	for _, p := range []struct {
+		d    int
+		seed int64
+	}{{8, 3}, {12, 5}} {
+		tr, err := GenerateTree(FamilyRandom, 120, p.d, p.seed)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		trees = append(trees, tr)
+	}
+	algs := Algorithms()
+	return func(which uint8) (*sim.World, sim.Algorithm) {
+		tr := trees[int(which)/len(algs)%len(trees)]
+		cfg := defaultConfig()
+		cfg.alg = algs[int(which)%len(algs)]
+		a, _, err := newSimAlgorithm(tr, k, cfg)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		w, err := sim.NewWorld(tr.t, k)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return w, a
+	}
+}
+
+// TestRestoreCheckpointRegressionSeeds pins what two of the fuzzer's seeds
+// were checked in for, so a later format change cannot quietly turn them
+// into inputs rejected before the check they exercise. potential-cut-ledger
+// is a Potential checkpoint (round 10) taken from an instance whose ledger
+// was cut to its root entry: it must restore and resume to a full
+// exploration. bfdnl-anchor-outside-instance is a BFDN_2 checkpoint in
+// which one level-1 instance has an anchor moved outside its subtree at
+// the same relative depth: RestoreCheckpoint must reject it as corrupt.
+func TestRestoreCheckpointRegressionSeeds(t *testing.T) {
+	build := fuzzBuild(t)
+	for _, tc := range []struct{ file, want string }{
+		{"potential-cut-ledger", ""},
+		{"bfdnl-anchor-outside-instance", "anchored at"},
+	} {
+		t.Run(tc.file, func(t *testing.T) {
+			data, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzRestoreCheckpoint", tc.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A corpus file: a header line, then one Go literal per argument.
+			lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+			if len(lines) != 3 {
+				t.Fatalf("corpus file has %d lines, want 3", len(lines))
+			}
+			which, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "byte("), ")"))
+			if err != nil || len(which) != 1 {
+				t.Fatalf("which = %q, %v", which, err)
+			}
+			state, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[2], "[]byte("), ")"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, a := build(which[0])
+			events, err := sim.RestoreCheckpoint([]byte(state), w, a)
+			if tc.want != "" {
+				if !errors.Is(err, snap.ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("RestoreCheckpoint = %v, want a corrupt-state error about %q", err, tc.want)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sim.RunCheckpointedContext(context.Background(), w, a, 0, events, 0, nil)
+			if err != nil || !res.FullyExplored {
+				t.Fatalf("resumed run: %v, fully explored %v", err, res.FullyExplored)
+			}
+		})
+	}
 }
