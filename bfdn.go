@@ -403,10 +403,6 @@ func simReport(t *Tree, k int, res sim.Result, bound float64) Report {
 	}
 }
 
-type scheduleAdapter struct{ s Schedule }
-
-func (a scheduleAdapter) Allowed(round, robot int) bool { return a.s.Allowed(round, robot) }
-
 func exploreWithBreakdowns(ctx context.Context, t *Tree, k int, cfg config) (*Report, error) {
 	if cfg.alg != BFDN {
 		return nil, fmt.Errorf("bfdn: break-down schedules require the BFDN algorithm")
@@ -415,7 +411,7 @@ func exploreWithBreakdowns(ctx context.Context, t *Tree, k int, cfg config) (*Re
 	if err != nil {
 		return nil, err
 	}
-	a := adversary.New(k, scheduleAdapter{cfg.schedule})
+	a := adversary.New(k, cfg.schedule)
 	res, err := adversary.RunUntilExploredContext(ctx, w, a, 100_000_000)
 	if err != nil {
 		return nil, err

@@ -82,6 +82,34 @@ func TestExploreTracedAllAlgorithms(t *testing.T) {
 	}
 }
 
+// TestExploreTracedOptions checks that ExploreTraced honours WithProgress —
+// one observation per committed round, the last one matching the report —
+// and rejects WithCheckpoint instead of silently ignoring it.
+func TestExploreTracedOptions(t *testing.T) {
+	tr, err := GenerateTree(FamilyRandom, 200, 10, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seen []Progress
+	rep, _, err := ExploreTraced(tr, 4, 1, WithProgress(func(p Progress) { seen = append(seen, p) }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) == 0 {
+		t.Fatal("WithProgress observer never called")
+	}
+	if last := seen[len(seen)-1]; last.Explored != tr.N() || last.Moves != int64(rep.Moves) || last.Round != len(seen) {
+		t.Errorf("last progress %+v after %d observations, report %+v", last, len(seen), rep)
+	}
+	js, err := OpenJobStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ExploreTraced(tr, 4, 1, WithCheckpoint(js, 10)); err == nil || !strings.Contains(err.Error(), "checkpoint") {
+		t.Errorf("ExploreTraced with WithCheckpoint = %v, want a not-supported error", err)
+	}
+}
+
 func TestExploreLevelwiseAlgorithm(t *testing.T) {
 	tr, err := GenerateTree(FamilyRandom, 500, 10, 8)
 	if err != nil {
