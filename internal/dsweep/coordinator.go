@@ -161,6 +161,11 @@ func (c *coord) run(stats *Stats) []Line {
 	close(stop)
 
 	c.mu.Lock()
+	// The workers also stop on a canceled context, and may all have returned
+	// before the goroutine above recorded it: the run is then unfinished.
+	if c.err == nil && c.remaining > 0 {
+		c.err = c.ctx.Err()
+	}
 	stats.Retries = c.retries
 	stats.Failovers = c.failovers
 	stats.Hedges = c.hedges
