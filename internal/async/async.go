@@ -22,7 +22,6 @@
 package async
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"fmt"
@@ -60,6 +59,7 @@ type Engine struct {
 	// robot i is currently crossing (Nil otherwise).
 	pendingChild []tree.NodeID
 	idle         []int // robots parked at the root awaiting work
+	woken        []int // retained buffer the wake path swaps with idle
 	workWoke     bool  // new open work appeared during the current event
 
 	events   eventHeap
@@ -76,23 +76,60 @@ type event struct {
 	seq   int64
 }
 
+// before orders events by time, then by push order. seq is unique per run,
+// so (at, seq) is a strict total order: every correct heap pops the same
+// sequence, whatever its internal layout.
+func (a event) before(b event) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+// eventHeap is a binary min-heap of events under before. The sift routines
+// are concrete transcriptions of container/heap's up/down on a typed slice,
+// so push and pop neither box an event into an interface nor dispatch
+// through one: a recycled engine drains its events without allocating.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (h *eventHeap) push(ev event) {
+	*h = append(*h, ev)
+	s := *h
+	j := len(s) - 1
+	for j > 0 {
+		i := (j - 1) / 2 // parent
+		if !s[j].before(s[i]) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
 	}
-	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+
+// pop removes and returns the earliest event; the heap must be non-empty.
+func (h *eventHeap) pop() event {
+	s := *h
+	n := len(s) - 1
+	top := s[0]
+	s[0] = s[n]
+	s = s[:n]
+	*h = s
+	i := 0
+	for {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && s[j2].before(s[j]) {
+			j = j2 // right child
+		}
+		if !s[j].before(s[i]) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	return top
 }
 
 // Option configures an Engine at construction.
@@ -152,7 +189,11 @@ func (e *Engine) Reset(t *tree.Tree, speeds []float64, seed int64) error {
 	e.t = t
 	e.speeds = append(e.speeds[:0], speeds...)
 	e.seed = seed
-	e.rng = rand.New(rand.NewSource(seed))
+	if e.rng == nil {
+		e.rng = rand.New(rand.NewSource(seed))
+	} else {
+		e.rng.Seed(seed) // same state as a new source, without its ~5 KB
+	}
 
 	e.explored = resizeBool(e.explored, t.N())
 	e.claimed = resizeInt32(e.claimed, t.N())
@@ -251,7 +292,7 @@ func (e *Engine) RunContext(ctx context.Context, maxEvents int64) (Result, error
 				return Result{}, fmt.Errorf("async: run canceled after %d events: %w", n, err)
 			}
 		}
-		ev := heap.Pop(&e.events).(event)
+		ev := e.events.pop()
 		e.now = ev.at
 		i := ev.robot
 		e.arrive(i)
@@ -276,7 +317,7 @@ func (e *Engine) RunContext(ctx context.Context, maxEvents int64) (Result, error
 		// the same instant; seq ordering keeps the run deterministic.
 		if e.workWoke && len(e.idle) > 0 {
 			woken := e.idle
-			e.idle = nil
+			e.idle, e.woken = e.woken[:0], woken
 			sort.Ints(woken)
 			for _, w := range woken {
 				e.push(e.now, w)
@@ -309,7 +350,7 @@ func (e *Engine) RunContext(ctx context.Context, maxEvents int64) (Result, error
 }
 
 func (e *Engine) push(at float64, robot int) {
-	heap.Push(&e.events, event{at: at, robot: robot, seq: e.seq})
+	e.events.push(event{at: at, robot: robot, seq: e.seq})
 	e.seq++
 }
 

@@ -23,11 +23,13 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-# highest_pr prints the largest numeric BENCH_*.json suffix, or 0.
+# highest_pr prints the largest numeric BENCH_*.json suffix, or 0. With an
+# argument, only snapshots containing that string count.
 highest_pr() {
     highest=0
     for f in BENCH_*.json; do
         [ -e "$f" ] || continue
+        [ -z "${1:-}" ] || grep -q "$1" "$f" || continue
         num="${f#BENCH_}"
         num="${num%.json}"
         case "$num" in
@@ -55,8 +57,11 @@ CPU_MODEL="$(awk -F': ' '/^model name/ {print $2; exit}' /proc/cpuinfo 2>/dev/nu
 # The baseline is the previous snapshot's results keyed by benchmark name —
 # derived, not hand-maintained, so it can never drift from what was actually
 # measured. The first snapshot on a fresh checkout gets an empty baseline.
+# End-to-end records from scripts/benchrecord.sh share the BENCH_ numbering
+# but hold no "results", so they are skipped here.
+BASE_PR="$(highest_pr '"results"')"
 BASELINE_FILE=""
-[ "$PREV" -gt 0 ] && BASELINE_FILE="BENCH_${PREV}.json"
+[ "$BASE_PR" -gt 0 ] && BASELINE_FILE="BENCH_${BASE_PR}.json"
 
 raw=$(go test -run '^$' -bench "$BENCH_RE" -benchmem -benchtime "$BENCHTIME" .)
 

@@ -7,7 +7,8 @@
 #   scripts/benchdiff.sh [-t ALLOWED] [OLD.json] [NEW.json]
 #
 # With no files, compares the two highest-numbered BENCH_*.json in the repo
-# root (previous → latest). With one file, compares its embedded "baseline"
+# root (previous → latest) that scripts/bench.sh wrote; the end-to-end
+# records of scripts/benchrecord.sh hold no "results" and are skipped. With one file, compares its embedded "baseline"
 # block against its own results. -t sets the allowed fractional regression
 # per metric (default 0.25 = 25% worse); CI's smoke step passes -t 2.0
 # (new ≤ 3× old) because a -benchtime 1x run is noise-bound and only meant
@@ -46,7 +47,7 @@ if [ -z "$NEW" ] && [ -n "$OLD" ]; then
 fi
 if [ -z "$NEW" ]; then
     # Pick the two highest-numbered snapshots.
-    set -- $(ls BENCH_*.json 2>/dev/null | sort -t_ -k2 -n)
+    set -- $(grep -l '"results"' BENCH_*.json 2>/dev/null | sort -t_ -k2 -n)
     if [ $# -lt 1 ]; then
         echo "benchdiff: no BENCH_*.json snapshots found" >&2
         exit 2

@@ -17,8 +17,9 @@ if [ -n "$missing" ]; then
 fi
 
 # Benchmark records ride with the code: every perf PR commits its
-# BENCH_<PR>.json (written by scripts/bench.sh) so regressions are
-# diffable. Fail when none exists at the repo root.
+# BENCH_<PR>.json (written by scripts/bench.sh, or scripts/benchrecord.sh
+# for end-to-end records) so regressions are diffable. Fail when none
+# exists at the repo root.
 found=0
 for f in BENCH_*.json; do
     [ -e "$f" ] && found=1 && break
