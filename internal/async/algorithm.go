@@ -91,15 +91,24 @@ func (v View) Unclaimed(u tree.NodeID) int {
 	return v.e.t.NumChildren(u) - int(v.e.claimed[u])
 }
 
-// EachExploredChild calls fn for each explored child of u in port order,
-// stopping early when fn returns false. Children whose claimed edge is
-// still being crossed are not yet explored and are skipped.
-func (v View) EachExploredChild(u tree.NodeID, fn func(c tree.NodeID) bool) {
-	for _, c := range v.e.t.Children(u) {
-		if v.e.explored[c] && !fn(c) {
-			return
+// PrevExploredSibling returns the explored sibling nearest before u in
+// port order, or tree.Nil if there is none. Claims go out in port order, so
+// every sibling before an explored u was claimed: the scan skips only the
+// ones still being crossed, at most one per robot.
+func (v View) PrevExploredSibling(u tree.NodeID) tree.NodeID {
+	t := v.e.t
+	p := t.Parent(u)
+	sibs := t.Children(p)
+	j := t.PortToward(p, u) // u's index among sibs, +1 below the root
+	if p != tree.Root {
+		j--
+	}
+	for j--; j >= 0; j-- {
+		if v.e.explored[sibs[j]] {
+			return sibs[j]
 		}
 	}
+	return tree.Nil
 }
 
 // NewNamedAlgorithm constructs a registered Algorithm by name ("bfdn",

@@ -24,10 +24,21 @@ type recycledPoint struct {
 // 5000-node random tree of depth 40, eight robots at speeds 1,1,2,4 twice
 // and jitter:0.5 latency.
 func newRecycledPoint(tb testing.TB, name string) *recycledPoint {
+	return newPoint(tb, name, tree.FamilyRandom, 5000, 8)
+}
+
+// newPoint builds a recycled point of algorithm name on an n-node tree of
+// family f and target depth 40, with k robots cycling through speeds
+// 1,1,2,4 and jitter:0.5 latency.
+func newPoint(tb testing.TB, name string, f tree.Family, n, k int) *recycledPoint {
 	tb.Helper()
-	tr, err := tree.Generate(tree.FamilyRandom, 5000, 40, rand.New(rand.NewSource(7)))
+	tr, err := tree.Generate(f, n, 40, rand.New(rand.NewSource(7)))
 	if err != nil {
 		tb.Fatal(err)
+	}
+	speeds := make([]float64, k)
+	for i := range speeds {
+		speeds[i] = []float64{1, 1, 2, 4}[i%4]
 	}
 	alg, err := NewNamedAlgorithm(name)
 	if err != nil {
@@ -37,7 +48,7 @@ func newRecycledPoint(tb testing.TB, name string) *recycledPoint {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	p := &recycledPoint{alg: alg, lat: lat, tr: tr, speeds: []float64{1, 1, 2, 4, 1, 1, 2, 4}, seed: 1}
+	p := &recycledPoint{alg: alg, lat: lat, tr: tr, speeds: speeds, seed: 1}
 	if p.e, err = NewEngine(tr, p.speeds, WithAlgorithm(alg), WithLatency(lat)); err != nil {
 		tb.Fatal(err)
 	}
@@ -102,6 +113,33 @@ func BenchmarkRecycledPoint(b *testing.B) {
 	for _, name := range AlgorithmNames() {
 		b.Run(name, func(b *testing.B) {
 			p := newRecycledPoint(b, name)
+			if _, err := p.run(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var events int64
+			for i := 0; i < b.N; i++ {
+				res, err := p.run()
+				if err != nil {
+					b.Fatal(err)
+				}
+				events += res.Events
+			}
+			b.ReportMetric(float64(events)/float64(b.N), "events/op")
+		})
+	}
+}
+
+// BenchmarkWidePoint times one Potential point on wide and deep trees
+// (n = 20000, k = 64): a comb (spine of ~950 nodes, each with a 20-edge
+// tooth), a spider (499 legs of 40) and a binary tree. A slot lookup or a
+// discovery whose cost grows with the frontier, a node's degree or the
+// depth shows up here long before it does on the async-sweep shape.
+func BenchmarkWidePoint(b *testing.B) {
+	for _, f := range []tree.Family{tree.FamilyComb, tree.FamilySpider, tree.FamilyBinary} {
+		b.Run(string(f), func(b *testing.B) {
+			p := newPoint(b, "potential", f, 20000, 64)
 			if _, err := p.run(); err != nil {
 				b.Fatal(err)
 			}

@@ -1,10 +1,6 @@
 package async
 
-import (
-	"fmt"
-
-	"bfdn/internal/tree"
-)
+import "bfdn/internal/tree"
 
 // Potential ports the Potential Function Method's DFS-slot strategy
 // (arXiv:2311.01354, reproduced synchronously in internal/potential) onto
@@ -17,33 +13,12 @@ import (
 // With nothing unclaimed the robots climb home and park.
 type Potential struct {
 	k int
-	// open[v] counts unclaimed dangling edges in the explored part of the
-	// subtree T(v), maintained incrementally: +c along child→root when a
-	// node with c dangling edges is discovered, −1 along u→root when an
-	// edge is claimed at u.
-	open subtreeCounts
+	// slots holds the unclaimed dangling edges in slot order: a discovery
+	// inserts the node with its dangling edges, a claim takes one off.
+	slots slotIndex
 }
 
 var _ Algorithm = (*Potential)(nil)
-
-// subtreeCounts is a growable int32 slice indexed by NodeID.
-type subtreeCounts struct {
-	vals []int32
-}
-
-func (g *subtreeCounts) get(v tree.NodeID) int32 {
-	if int(v) >= len(g.vals) {
-		return 0
-	}
-	return g.vals[v]
-}
-
-func (g *subtreeCounts) add(v tree.NodeID, d int32) {
-	for int(v) >= len(g.vals) {
-		g.vals = append(g.vals, 0)
-	}
-	g.vals[v] += d
-}
 
 // NewPotential returns an asynchronous DFS-slot strategy; Reset sizes it to
 // a fleet.
@@ -54,86 +29,41 @@ func (p *Potential) String() string { return "potential" }
 // Reset implements Algorithm.
 func (p *Potential) Reset(k int) {
 	p.k = k
-	for i := range p.open.vals {
-		p.open.vals[i] = 0
-	}
+	p.slots.reset()
 }
 
-// OnExplored implements Algorithm: a discovery with c dangling edges adds c
-// open slots to every subtree count on the path to the root. The edge that
-// led to child was already subtracted at claim time.
-func (p *Potential) OnExplored(v View, _, child tree.NodeID, _ bool) {
-	c := int32(v.Unclaimed(child))
-	if c == 0 {
-		return
-	}
-	for u := child; ; u = v.Parent(u) {
-		p.open.add(u, c)
-		if u == tree.Root {
-			break
+// OnExplored implements Algorithm: the discovered child's block goes right
+// after its nearest explored left sibling's, or first in its parent's, with
+// all of its dangling edges open. The edge that led to child was already
+// taken off at claim time.
+func (p *Potential) OnExplored(v View, parent, child tree.NodeID, _ bool) {
+	after := int32(noMarker)
+	if parent != tree.Nil {
+		after = enterMarker(parent)
+		if s := v.PrevExploredSibling(child); s != tree.Nil {
+			after = exitMarker(s)
 		}
 	}
+	p.slots.explore(child, after, v.Unclaimed(child))
 }
 
-// Decide implements Algorithm: locate slot ⌊i·m/k⌋ in DFS preorder, claim
-// on arrival, otherwise take one edge towards it; with m = 0 climb home.
+// Decide implements Algorithm: find slot ⌊i·m/k⌋, claim on arrival,
+// otherwise take one edge towards it; with m = 0 climb home.
 func (p *Potential) Decide(v View, i int) (Move, error) {
 	pos := v.Pos(i)
-	m := int(p.open.get(tree.Root))
+	m := int(p.slots.total)
 	if m == 0 {
 		if pos == tree.Root {
 			return Move{Kind: Park}, nil
 		}
 		return Move{Kind: MoveTo, To: v.Parent(pos)}, nil
 	}
-	u, err := p.locate(v, i*m/p.k)
-	if err != nil {
-		return Move{}, err
-	}
+	u := p.slots.find(i * m / p.k)
 	if pos == u {
-		for w := u; ; w = v.Parent(w) {
-			p.open.add(w, -1)
-			if w == tree.Root {
-				break
-			}
-		}
+		p.slots.takeFound()
 		return Move{Kind: Claim}, nil
 	}
 	return stepTowards(v, pos, u), nil
-}
-
-// locate resolves unclaimed-slot s (0 ≤ s < open(root)) in the DFS preorder
-// of the explored tree to the node holding that dangling edge. Port order
-// puts a node's explored children before its own dangling edges, so the
-// preorder at u is: the slots of each explored child subtree in port order,
-// then u's own unclaimed edges. Children still being crossed are unexplored
-// and hold no slots yet.
-func (p *Potential) locate(v View, s int) (tree.NodeID, error) {
-	u := tree.Root
-	for {
-		own := v.Unclaimed(u)
-		sChild := int(p.open.get(u)) - own
-		if s >= sChild {
-			if s-sChild >= own {
-				return tree.Nil, fmt.Errorf("potential: slot overflow at node %d: %d ≥ %d", u, s-sChild, own)
-			}
-			return u, nil
-		}
-		next := tree.Nil
-		v.EachExploredChild(u, func(ch tree.NodeID) bool {
-			w := int(p.open.get(ch))
-			if s < w {
-				next = ch
-				return false
-			}
-			s -= w
-			return true
-		})
-		if next == tree.Nil {
-			return tree.Nil, fmt.Errorf("potential: inconsistent open counts at node %d", u)
-		}
-		u = next
-	}
 }
 
 // stepTowards returns the one-edge move from pos towards target u ≠ pos:

@@ -1,10 +1,21 @@
 #!/bin/sh
 # benchdiff.sh — print the delta table between two BENCH_*.json snapshots
 # (as written by scripts/bench.sh) and exit non-zero when any benchmark
-# regressed past the threshold.
+# regressed past the threshold; or, with -r, gate one end-to-end record
+# written by scripts/benchrecord.sh on its own spread.
 #
 # Usage:
 #   scripts/benchdiff.sh [-t ALLOWED] [OLD.json] [NEW.json]
+#   scripts/benchdiff.sh -r RECORD.json
+#
+# Record mode (-r) reads the --trace 0 summary of every workload in the
+# record and checks each end-to-end metric BENCHMARK.json declares. It flags
+# a metric only when both hold: the ratio of the change's median to the
+# parent's is worse than the metric's BENCHMARK.json bound (25% means a
+# lower-is-better metric above 1.25, a higher-is-better one below 0.75),
+# and the parent's and the change's min–max ranges do not overlap. A shift
+# inside the runs' own spread is noise, not a regression. -t does not apply
+# in this mode.
 #
 # With no files, compares the two highest-numbered BENCH_*.json in the repo
 # root (previous → latest) that scripts/bench.sh wrote; the end-to-end
@@ -29,14 +40,66 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-ALLOWED=0.25
-while getopts t: opt; do
+ALLOWED=0.25 RECORD=""
+while getopts t:r: opt; do
     case "$opt" in
         t) ALLOWED="$OPTARG" ;;
-        *) echo "usage: $0 [-t allowed-regression] [old.json] [new.json]" >&2; exit 2 ;;
+        r) RECORD="$OPTARG" ;;
+        *) echo "usage: $0 [-t allowed-regression] [old.json] [new.json] | -r record.json" >&2; exit 2 ;;
     esac
 done
 shift $((OPTIND - 1))
+
+if [ -n "$RECORD" ]; then
+    export BENCHDIFF_RECORD="$RECORD"
+    exec python3 - <<'EOF'
+import json, os, sys
+
+path = os.environ["BENCHDIFF_RECORD"]
+with open(path) as f:
+    rec = json.load(f)
+with open("BENCHMARK.json") as f:
+    spec = json.load(f)
+if rec.get("kind") != "e2ebench":
+    sys.exit(f"benchdiff: {path} is not a scripts/benchrecord.sh record")
+
+rows, failures = [], []
+for w, runs in rec["workloads"].items():
+    summary = runs["trace0"]["summary"]
+    n = len(runs["trace0"]["pairs"])
+    for m in spec["end_to_end"]:
+        row = summary.get(m["name"])
+        if row is None or row["ratio_of_medians"] is None:
+            continue
+        par, chg, ratio = row["parent"], row["change"], row["ratio_of_medians"]
+        if m["better"] == "lower":
+            past_bound = ratio > 1 + m["bound"]
+        else:
+            past_bound = ratio < 1 - m["bound"]
+        apart = par["max"] < chg["min"] or chg["max"] < par["min"]
+        flag = ""
+        if past_bound and apart:
+            flag = "REGRESSION"
+            failures.append(f"{w} {m['name']}: median {par['median']:.4g} -> {chg['median']:.4g} "
+                            f"(x{ratio:.3f}, bound {m['bound']:.0%}), ranges "
+                            f"[{par['min']:.4g}, {par['max']:.4g}] and [{chg['min']:.4g}, {chg['max']:.4g}]")
+        elif past_bound:
+            flag = "within spread"
+        rows.append((f"{w} [{m['name']}]", str(n), f"{par['median']:.4g}", f"[{par['min']:.4g}, {par['max']:.4g}]",
+                     f"{chg['median']:.4g}", f"[{chg['min']:.4g}, {chg['max']:.4g}]", f"x{ratio:.3f}", flag))
+
+header = ("workload [metric]", "pairs", "parent", "range", "change", "range", "ratio", "")
+widths = [max(len(r[i]) for r in (header,) + tuple(rows)) for i in range(len(header))]
+print(f"record: {path}   parent {rec['parent']}")
+for r in (header,) + tuple(rows):
+    print("  ".join(c.ljust(wd) for c, wd in zip(r, widths)).rstrip())
+if failures:
+    print(f"\n{len(failures)} regression(s) past their bound and outside the spread:", file=sys.stderr)
+    for f_ in failures:
+        print(f"  {f_}", file=sys.stderr)
+    sys.exit(1)
+EOF
+fi
 
 OLD="${1:-}"
 NEW="${2:-}"

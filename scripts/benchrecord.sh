@@ -13,15 +13,17 @@
 #   - PAIRS parent/change pairs of the main workload at --trace 0, the order
 #     inside a pair alternating (parent first, then change first, ...), so a
 #     drift of the host over the recording hits both sides alike;
-#   - one pair of every other workload in BENCHMARK.json at --trace 0;
+#   - five pairs of every other workload in BENCHMARK.json at --trace 0,
+#     alternating the same way, so a workload the change should not move
+#     also gets a spread to show that it did not;
 #   - one pair of the main workload at --trace 1, which gives the layer
 #     self times and the per-layer metrics.
 #
 # For every metric of every workload the output holds each side's median,
 # quartiles (inclusive method), min and max over the pairs, the ratio of
-# the medians, and how many pairs the change won in the metric's direction
-# (from BENCHMARK.json). For the main workload it also says whether the
-# medians differ by more than the parent's interquartile range. Each run's
+# the medians, how many pairs the change won in the metric's direction
+# (from BENCHMARK.json), and whether the medians differ by more than the
+# parent's interquartile range. scripts/benchdiff.sh -r gates on it. Each run's
 # correct/attempted/failed counts are kept; a run that fails a check makes
 # the script exit 2 after the file is written.
 #
@@ -173,10 +175,11 @@ main_pairs = [pair(i, main, 0) for i in range(pairs)]
 result["env"] = {side: main_pairs[0][side]["env"] for side in ("parent", "change")}
 result["workloads"][main] = {"trace0": {"pairs": [strip(p) for p in main_pairs],
                                         "summary": summarize(main_pairs, end_to_end)}}
+OTHER_PAIRS = 5
 for w in workloads:
     if w != main:
-        p = pair(0, w, 0)
-        result["workloads"][w] = {"trace0": {"pairs": [strip(p)], "summary": summarize([p], end_to_end)}}
+        ps = [pair(i, w, 0) for i in range(OTHER_PAIRS)]
+        result["workloads"][w] = {"trace0": {"pairs": [strip(p) for p in ps], "summary": summarize(ps, end_to_end)}}
 traced = pair(0, main, 1)
 result["workloads"][main]["trace1"] = {
     "pairs": [strip(traced)],
