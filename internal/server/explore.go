@@ -39,8 +39,8 @@ type exploreResponse struct {
 }
 
 func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
-	var req exploreRequest
-	if err := decodeJSON(w, r, &req); err != nil {
+	req, err := readExploreRequest(w, r, s.cfg.MaxNodes)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
@@ -67,6 +67,7 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
+		req.Parents = nil // the tree holds its own copy; free the array for the run
 		// Stream live progress into the registry: one round and an explored-
 		// node delta per simulated round. The observer runs on the single
 		// simulating goroutine, so prevExplored needs no synchronization.

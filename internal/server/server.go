@@ -44,6 +44,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	netpprof "net/http/pprof"
@@ -457,10 +458,19 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 	writeJSON(w, code, errorResponse{Error: msg})
 }
 
+// maxBody bounds a request body; parents arrays for large trees fit well
+// within 8 MiB.
+const maxBody = 8 << 20
+
 // decodeJSON reads a size-limited JSON body into v.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
-	const maxBody = 8 << 20 // parents arrays for large trees fit well within 8 MiB
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
+	return decodeJSONFrom(http.MaxBytesReader(w, r.Body, maxBody), v)
+}
+
+// decodeJSONFrom decodes the first JSON value of rd into v, refusing
+// unknown fields.
+func decodeJSONFrom(rd io.Reader, v any) error {
+	dec := json.NewDecoder(rd)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("invalid request body: %w", err)

@@ -5,13 +5,14 @@ import (
 	"reflect"
 	"testing"
 
+	"bfdn/internal/snap"
 	"bfdn/internal/tree"
 )
 
 // TestResetGrowCycleReinitializesArrays drives one world through a
 // grow/shrink/grow cycle with full runs in between, so the third Reset
 // reuses backing arrays still holding a completed run's state (explored
-// flags, reservation stamps, positions). Every per-node and per-robot array
+// flags, positions). Every per-node and per-robot array
 // must read as freshly constructed afterwards — the CSR flattening's grow()
 // helper deliberately leaves contents unspecified, making Reset solely
 // responsible for re-initialization.
@@ -68,21 +69,21 @@ func TestResetGrowCycleReinitializesArrays(t *testing.T) {
 	}
 }
 
-// TestStampBaseAdvancesAcrossResets pins the invariant the unswept
-// reservation table depends on: every stamp a run can write is at most
-// stampBase+round, and Reset advances stampBase strictly past that, so
-// stale words — including ones re-exposed by capacity reuse — always
-// compare as "not this round". The Resets here happen mid-round with live
-// reservations outstanding, the adversarial case for a sweeping-free table.
-func TestStampBaseAdvancesAcrossResets(t *testing.T) {
+// TestResetAndRestoreDropLiveReservations resets and restores a world in
+// the middle of a round, with reservations outstanding: neither may leave a
+// reservation behind for the next run to read, whatever the table's state.
+func TestResetAndRestoreDropLiveReservations(t *testing.T) {
 	tr := tree.Star(9)
 	nd := tr.NumChildren(tree.Root)
 	w, err := NewWorld(tr, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var start snap.Encoder
+	w.Snapshot(&start)
 	v := w.View()
-	for cycle := 0; cycle < 5; cycle++ {
+	reserve := func(cycle int) {
+		t.Helper()
 		for i := 0; i < 2; i++ {
 			if _, ok := v.ReserveDangling(tree.Root); !ok {
 				t.Fatalf("cycle %d: reservation %d failed", cycle, i)
@@ -91,16 +92,90 @@ func TestStampBaseAdvancesAcrossResets(t *testing.T) {
 		if got := v.UnreservedDanglingAt(tree.Root); got != nd-2 {
 			t.Fatalf("cycle %d: %d unreserved with 2 live reservations, want %d", cycle, got, nd-2)
 		}
-		prevBase, prevRound := w.stampBase, w.round
+	}
+	for cycle := 0; cycle < 5; cycle++ {
+		reserve(cycle)
 		if err := w.Reset(tr, 3); err != nil {
 			t.Fatal(err)
 		}
-		if w.stampBase <= prevBase+int64(prevRound) {
-			t.Fatalf("cycle %d: stampBase %d did not advance past %d+%d — stale stamps could read as current",
-				cycle, w.stampBase, prevBase, prevRound)
-		}
 		if got := v.UnreservedDanglingAt(tree.Root); got != nd {
 			t.Fatalf("cycle %d: %d unreserved after Reset, want %d (phantom reservation)", cycle, got, nd)
+		}
+		reserve(cycle)
+		if err := w.Restore(snap.NewDecoder(start.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+		if got := v.UnreservedDanglingAt(tree.Root); got != nd {
+			t.Fatalf("cycle %d: %d unreserved after Restore, want %d (phantom reservation)", cycle, got, nd)
+		}
+	}
+}
+
+// TestReservationTableGrows reserves, in one round, at more distinct nodes
+// than the reservation table's first allocation holds, so the table must
+// grow with live entries in it: every count must survive the rehash, and
+// the next round must start empty.
+func TestReservationTableGrows(t *testing.T) {
+	const fan = 4 * resTableMinSlots
+	b := tree.NewBuilder()
+	for i := 0; i < fan; i++ {
+		c := b.AddChild(tree.Root)
+		b.AddChild(c)
+		b.AddChild(c)
+	}
+	tr := b.Build()
+	w, err := NewWorld(tr, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Explore the root's children one round at a time, walking back up in
+	// between, so that every child is explored with both its edges dangling.
+	v := w.View()
+	for i := 0; i < fan; i++ {
+		tk, ok := v.ReserveDangling(tree.Root)
+		if !ok {
+			t.Fatalf("root reservation %d failed", i)
+		}
+		if _, _, err := w.Apply([]Move{{Kind: Explore, Ticket: tk}}); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := w.Apply([]Move{{Kind: Up}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	kids := v.ExploredChildren(tree.Root)
+	if len(kids) != fan {
+		t.Fatalf("%d explored children of the root, want %d", len(kids), fan)
+	}
+	seen := make(map[tree.NodeID]bool)
+	for _, c := range kids {
+		tk, ok := v.ReserveDangling(c)
+		if !ok {
+			t.Fatalf("reservation at %d failed", c)
+		}
+		seen[tk.child] = true
+	}
+	if len(w.res.slots) < 2*fan {
+		t.Fatalf("table has %d slots for %d entries, want at least twice as many", len(w.res.slots), fan)
+	}
+	for _, c := range kids {
+		if got := v.UnreservedDanglingAt(c); got != 1 {
+			t.Fatalf("node %d: %d unreserved after one reservation, want 1", c, got)
+		}
+		tk, ok := v.ReserveDangling(c)
+		if !ok || seen[tk.child] {
+			t.Fatalf("second reservation at %d: ok=%v, reissued=%v", c, ok, seen[tk.child])
+		}
+		if _, ok := v.ReserveDangling(c); ok {
+			t.Fatalf("third reservation at %d succeeded with two dangling edges", c)
+		}
+	}
+	if _, _, err := w.Apply([]Move{{Kind: Stay}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range kids {
+		if got := v.UnreservedDanglingAt(c); got != 2 {
+			t.Fatalf("node %d: %d unreserved in the next round, want 2", c, got)
 		}
 	}
 }

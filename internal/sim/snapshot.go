@@ -71,6 +71,7 @@ func (w *World) Restore(d *snap.Decoder) error {
 	if k != w.k || n != w.t.N() {
 		return fmt.Errorf("sim: snapshot is for k=%d, n=%d; world has k=%d, n=%d", k, n, w.k, w.t.N())
 	}
+	w.res.clear()
 	for i := range w.pos {
 		w.pos[i] = tree.NodeID(d.Int32())
 	}
@@ -84,9 +85,6 @@ func (w *World) Restore(d *snap.Decoder) error {
 		}
 		copy(w.dangling, dangling)
 		w.exploredCount = count
-		// Advancing the stamp base past every stamp this world has written
-		// invalidates the res table without sweeping it.
-		w.stampBase += int64(w.round) + 1
 	}
 	w.round = d.Int()
 	if d.Err() == nil && w.round < 0 {

@@ -64,7 +64,7 @@ func (v *View) DanglingAt(id tree.NodeID) int { return v.w.danglingAt(id) }
 // not been reserved in the current round ("dangling and unselected" in the
 // paper's DN procedure).
 func (v *View) UnreservedDanglingAt(id tree.NodeID) int {
-	return v.w.danglingAt(id) - v.w.reservedThisRound(id)
+	return v.w.danglingAt(id) - int(v.w.res.count(id))
 }
 
 // ReserveDangling reserves one dangling edge at id for traversal this round.

@@ -69,9 +69,8 @@ type ExploreEvent struct {
 // exploration state. Test and benchmark harnesses hold a *World; algorithms
 // hold only the *View obtained from View().
 //
-// Per-node mutable state is flattened onto the CSR node indexing (DESIGN.md
-// S31) as three parallel arrays, split by access frequency. dangling is the
-// hot word: it doubles as the explored flag (-1 unexplored, ≥ 0 remaining
+// Per-node mutable state is one array on the CSR node indexing (DESIGN.md
+// S31). dangling is the hot word: it doubles as the explored flag (-1 unexplored, ≥ 0 remaining
 // dangling edges), and every explored-check, dangling probe and failed
 // reservation attempt — the dominant load sites of a BFDN run — touch only
 // this 4-byte-per-node array, which fits in L2 even for 100k-node trees.
@@ -79,14 +78,9 @@ type ExploreEvent struct {
 // stored: dangling edges are handed out in port order, so the explored
 // children of v are exactly Children(v)[:NumChildren(v)-dangling].
 //
-// res holds the cold reservation words, touched only when a reservation is
-// actually claimable. They implement per-round dangling reservation by
-// stamping: a count is live only while its stamp equals stampBase+round,
-// so neither rounds nor Reset/Restore ever sweep the table. The stamp is
-// int64 on every platform: a narrower stamp would silently truncate the
-// comparison once the round counter passes its range, re-issuing
-// already-reserved dangling edges (the PR 5 int32 regression, pinned by
-// TestReservationSurvivesLargeRound).
+// res counts the dangling edges reserved in the current round. It holds
+// only the nodes reserved this round, so it stays small whatever the
+// tree's size; every committed round, Reset and Restore empty it.
 type World struct {
 	t *tree.Tree
 	k int
@@ -94,15 +88,7 @@ type World struct {
 	pos           []tree.NodeID
 	exploredCount int
 	dangling      []int32
-	res           []resWord
-	// stampBase offsets the reservation stamps from the round counter:
-	// the stamp for the current round is stampBase+round. Reset and Restore
-	// advance stampBase past every stamp the previous run could have
-	// written, which is what lets them skip clearing the res table — any
-	// stale word compares as "not this round". The zero value is valid
-	// too: a zeroed resWord reads as stamp 0, count 0, and a zero count
-	// is exactly what an unstamped node reports.
-	stampBase int64
+	res           resTable
 
 	round    int
 	metrics  Metrics
@@ -126,7 +112,6 @@ func NewWorld(t *tree.Tree, k int) (*World, error) {
 		pos:           make([]tree.NodeID, k),
 		exploredCount: 1,
 		dangling:      make([]int32, t.N()),
-		res:           make([]resWord, t.N()),
 		metrics:       newMetrics(k),
 	}
 	for i := range w.dangling {
@@ -157,10 +142,7 @@ func (w *World) Reset(t *tree.Tree, k int) error {
 		w.pos[i] = tree.Root
 	}
 	w.dangling = grow(w.dangling, n)
-	w.res = grow(w.res, n)
-	// Advance the stamp base past every stamp the previous run wrote
-	// (all ≤ stampBase+round), instead of sweeping the res table.
-	w.stampBase += int64(w.round) + 1
+	w.res.clear()
 	for i := 0; i < n; i++ {
 		w.dangling[i] = -1
 	}
@@ -251,43 +233,20 @@ func (w *World) danglingAt(v tree.NodeID) int {
 	return int(w.dangling[v])
 }
 
-// resWord is one node's reservation state: the stamp (stampBase+round at
-// the time of the claim) and the number of dangling edges handed out under
-// that stamp, in one 16-byte word so a claim touches a single cache line
-// of reservation state.
-type resWord struct {
-	stamp int64
-	count int32
-	_     int32
-}
-
-func (w *World) reservedThisRound(v tree.NodeID) int {
-	if w.res[v].stamp != w.stampBase+int64(w.round) {
-		return 0
-	}
-	return int(w.res[v].count)
-}
-
 // reserveDangling reserves the next dangling edge at v for this round. The
 // fail-fast path — unexplored node, or no dangling edge at all — reads only
-// the hot dangling word; the reservation stamp table is touched only when
-// a claim is possible.
+// the hot dangling word; the reservation table is touched only when a
+// claim is possible.
 func (w *World) reserveDangling(v tree.NodeID) (Ticket, bool) {
 	d := w.dangling[v]
 	if d <= 0 {
 		// Unexplored (-1) or no dangling edge at all (0).
 		return Ticket{}, false
 	}
-	stamp := w.stampBase + int64(w.round)
-	rs := &w.res[v]
-	rc := int32(0)
-	if rs.stamp == stamp {
-		rc = rs.count
-		if rc >= d {
-			return Ticket{}, false
-		}
-	} else {
-		rs.stamp = stamp
+	rs := w.res.slot(v)
+	rc := rs.count
+	if rc >= d {
+		return Ticket{}, false
 	}
 	children := w.t.Children(v)
 	child := children[len(children)-int(d)+int(rc)]
@@ -373,6 +332,7 @@ func (w *World) Apply(moves []Move) ([]ExploreEvent, bool, error) {
 		}
 	}
 	w.round++
+	w.res.clear()
 	w.metrics.TotalRounds++
 	if anyMoved {
 		w.metrics.Rounds++

@@ -16,8 +16,13 @@
 #   - five pairs of every other workload in BENCHMARK.json at --trace 0,
 #     alternating the same way, so a workload the change should not move
 #     also gets a spread to show that it did not;
-#   - one pair of the main workload at --trace 1, which gives the layer
-#     self times and the per-layer metrics.
+#   - TRACED pairs of the main workload at --trace 1, which give the layer
+#     self times (their medians over the pairs) and the per-layer metrics.
+#
+# The pairs run round-robin: pair i of every workload, traced pairs
+# included, runs before pair i+1 of any, so a drift of the host's load
+# over the recording spreads over all workloads instead of landing on the
+# one whose block it overlaps.
 #
 # For every metric of every workload the output holds each side's median,
 # quartiles (inclusive method), min and max over the pairs, the ratio of
@@ -28,12 +33,13 @@
 # the script exit 2 after the file is written.
 #
 # Usage:
-#   scripts/benchrecord.sh [-b BASE] [-w WORKLOAD] [-p PAIRS] [-S SEED]
-#                          [-d WORKDIR] [-o OUT]
+#   scripts/benchrecord.sh [-b BASE] [-w WORKLOAD] [-p PAIRS] [-t TRACED]
+#                          [-S SEED] [-d WORKDIR] [-o OUT]
 #
 #   -b  base revision (default HEAD)
 #   -w  main workload (default async-sweep)
 #   -p  pairs of the main workload (default 10)
+#   -t  traced pairs of the main workload (default 1)
 #   -S  --seed (default 1)
 #   -d  work directory for the two trees and their builds
 #       (default .bench_build/record)
@@ -43,17 +49,18 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-BASE=HEAD WORKLOAD=async-sweep PAIRS=10 SEED=1
+BASE=HEAD WORKLOAD=async-sweep PAIRS=10 TRACED=1 SEED=1
 WORKDIR=.bench_build/record OUT=""
-while getopts b:w:p:S:d:o: opt; do
+while getopts b:w:p:t:S:d:o: opt; do
     case "$opt" in
         b) BASE="$OPTARG" ;;
         w) WORKLOAD="$OPTARG" ;;
         p) PAIRS="$OPTARG" ;;
+        t) TRACED="$OPTARG" ;;
         S) SEED="$OPTARG" ;;
         d) WORKDIR="$OPTARG" ;;
         o) OUT="$OPTARG" ;;
-        *) echo "usage: $0 [-b base] [-w workload] [-p pairs] [-S seed] [-d workdir] [-o out]" >&2; exit 2 ;;
+        *) echo "usage: $0 [-b base] [-w workload] [-p pairs] [-t traced] [-S seed] [-d workdir] [-o out]" >&2; exit 2 ;;
     esac
 done
 
@@ -76,13 +83,14 @@ git archive "$BASE" | tar -x -C "$WORKDIR/parent"
 git ls-files -z -c -o --exclude-standard | tar --null -T - -cf - | tar -xf - -C "$WORKDIR/change"
 
 export REC_BASE="$(git rev-parse "$BASE")" REC_CHANGE="working tree on $(git rev-parse HEAD)"
-export REC_WORKLOAD="$WORKLOAD" REC_PAIRS="$PAIRS" REC_SEED="$SEED" REC_WORKDIR="$WORKDIR" REC_OUT="$OUT"
+export REC_WORKLOAD="$WORKLOAD" REC_PAIRS="$PAIRS" REC_TRACED="$TRACED" REC_SEED="$SEED" REC_WORKDIR="$WORKDIR" REC_OUT="$OUT"
 exec python3 - <<'EOF'
 import datetime, json, os, re, statistics, subprocess, sys
 
 env = os.environ
 workdir, out = env["REC_WORKDIR"], env["REC_OUT"]
 main, pairs, seed = env["REC_WORKLOAD"], int(env["REC_PAIRS"]), env["REC_SEED"]
+traced_pairs = int(env["REC_TRACED"])
 
 with open("BENCHMARK.json") as f:
     spec = json.load(f)
@@ -161,6 +169,13 @@ def summarize(ps, names):
     return s
 
 
+def median_layers(layers):
+    """Per layer, the median self time and share over the traced runs."""
+    names = sorted(set().union(*layers))
+    return {n: {k: statistics.median(l[n][k] for l in layers if n in l) for k in ("self_ms", "share_pct")}
+            for n in names}
+
+
 def strip(p):
     """A pair as stored: metrics and check counts, no env."""
     keep = ("exit", "correct", "attempted", "failed", "metrics")
@@ -171,21 +186,32 @@ result = {"kind": "e2ebench", "date": datetime.datetime.now(datetime.timezone.ut
           "command": " ".join(spec["command"]), "seed": int(seed), "seconds": float(seconds),
           "parent": env["REC_BASE"], "change": env["REC_CHANGE"], "workloads": {}}
 
-main_pairs = [pair(i, main, 0) for i in range(pairs)]
+OTHER_PAIRS = 5
+# Round-robin over (workload, trace) series: round i runs pair i of every
+# series that has one.
+series = {(main, 0): pairs, (main, 1): traced_pairs}
+series.update({(w, 0): OTHER_PAIRS for w in workloads if w != main})
+runs = {s: [] for s in series}
+for i in range(max(series.values())):
+    for s, n in series.items():
+        if i < n:
+            runs[s].append(pair(i, *s))
+
+main_pairs = runs[(main, 0)]
 result["env"] = {side: main_pairs[0][side]["env"] for side in ("parent", "change")}
 result["workloads"][main] = {"trace0": {"pairs": [strip(p) for p in main_pairs],
                                         "summary": summarize(main_pairs, end_to_end)}}
-OTHER_PAIRS = 5
 for w in workloads:
     if w != main:
-        ps = [pair(i, w, 0) for i in range(OTHER_PAIRS)]
+        ps = runs[(w, 0)]
         result["workloads"][w] = {"trace0": {"pairs": [strip(p) for p in ps], "summary": summarize(ps, end_to_end)}}
-traced = pair(0, main, 1)
-result["workloads"][main]["trace1"] = {
-    "pairs": [strip(traced)],
-    "layers": {side: traced[side]["layers"] for side in ("parent", "change")},
-    "summary": summarize([traced], sorted(traced["parent"]["metrics"])),
-}
+traced = runs[(main, 1)]
+if traced:
+    result["workloads"][main]["trace1"] = {
+        "pairs": [strip(p) for p in traced],
+        "layers": {side: median_layers([p[side]["layers"] for p in traced]) for side in ("parent", "change")},
+        "summary": summarize(traced, sorted(traced[0]["parent"]["metrics"])),
+    }
 result["all_correct"] = all_correct
 
 with open(out, "w") as f:
