@@ -446,3 +446,32 @@ func BenchmarkTreeGeneration(b *testing.B) {
 		}
 	}
 }
+
+// treeSink keeps the tree benchmarks' results alive.
+var treeSink *tree.Tree
+
+// BenchmarkBFSLayout measures the BFS renumbering that label-free
+// explorations run on, at explore-large's size (200k nodes, depth 60).
+func BenchmarkBFSLayout(b *testing.B) {
+	t := tree.Random(200_000, 60, benchRng())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		treeSink = t.BFSLayout()
+	}
+}
+
+// BenchmarkFromParents measures building a tree from a parent array, the
+// uploaded-tree path, at the size of BenchmarkBFSLayout for comparison.
+func BenchmarkFromParents(b *testing.B) {
+	parents := tree.Random(200_000, 60, benchRng()).Parents()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t, err := tree.FromParents(parents)
+		if err != nil {
+			b.Fatal(err)
+		}
+		treeSink = t
+	}
+}

@@ -331,6 +331,18 @@ func newSimAlgorithm(t *Tree, k int, cfg config) (sim.Algorithm, float64, error)
 	}
 }
 
+// labelFree reports whether a decides from the tree's shape and port order
+// alone, so that any renumbering of the nodes leaves its runs unchanged
+// (TestReportsInvariantUnderRelabel). BFDN_ℓ and level-wise break ties on
+// NodeID, so they run on the caller's labels.
+func (a Algorithm) labelFree() bool {
+	switch a {
+	case BFDN, CTE, DFS, TreeMining, Potential:
+		return true
+	}
+	return false
+}
+
 // Explore runs a collaborative exploration of t with k robots and returns
 // the run report.
 func Explore(t *Tree, k int, opts ...Option) (*Report, error) {
@@ -358,6 +370,15 @@ func ExploreContext(ctx context.Context, t *Tree, k int, opts ...Option) (*Repor
 	alg, bound, err := newSimAlgorithm(t, k, cfg)
 	if err != nil {
 		return nil, err
+	}
+	if cfg.alg.labelFree() {
+		// Run on a BFS-numbered copy (DESIGN.md S34): the same ports and
+		// hence the same report, with the per-node words of a depth side
+		// by side. From here on t is the copy, so the run does not keep
+		// the caller's tree reachable from this frame.
+		_, span := tracing.Start(ctx, "tree.layout", tracing.Int("n", t.N()))
+		t = &Tree{t: t.t.BFSLayout()}
+		span.End()
 	}
 	w, err := newWorld(t, k, cfg)
 	if err != nil {

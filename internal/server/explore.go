@@ -79,21 +79,25 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 				prevExplored = p.Explored
 			}
 		}))
+		// Read the response's tree fields now: t is not used after the run
+		// starts, so a run on a laid-out copy (DESIGN.md S34) keeps one tree
+		// live, not two.
+		resp := exploreResponse{
+			Algorithm: alg.String(),
+			N:         t.N(),
+			Depth:     t.Depth(),
+			MaxDegree: t.MaxDegree(),
+			K:         req.K,
+		}
 		start := time.Now()
 		rep, err := bfdn.ExploreContext(ctx, t, req.K, runOpts...)
 		if err != nil {
 			writeJobError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, exploreResponse{
-			Algorithm: alg.String(),
-			N:         t.N(),
-			Depth:     t.Depth(),
-			MaxDegree: t.MaxDegree(),
-			K:         req.K,
-			Report:    rep,
-			ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
-		})
+		resp.Report = rep
+		resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
+		writeJSON(w, http.StatusOK, resp)
 	})
 }
 

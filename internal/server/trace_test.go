@@ -232,6 +232,40 @@ func TestTraceFreshRootWithoutTraceparent(t *testing.T) {
 	}
 }
 
+// TestTraceExploreLayoutSpan checks that a label-free exploration shows the
+// cost of its BFS layout as a tree.layout span beside sim.run under the
+// job, and that an algorithm that keeps the caller's labels (level-wise)
+// records none.
+func TestTraceExploreLayoutSpan(t *testing.T) {
+	srv := New(Config{Tracer: tracing.New(tracing.Config{Seed: 11})})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	for _, c := range []struct {
+		alg     string
+		layouts int
+	}{{"bfdn", 1}, {"potential", 1}, {"levelwise", 0}} {
+		resp, data := postJSON(t, ts.Client(), ts.URL+"/v1/explore",
+			`{"family":"binary","n":60,"k":2,"algorithm":"`+c.alg+`"}`)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s explore: %d %s", c.alg, resp.StatusCode, data)
+		}
+		names := byName(fetchTrace(t, ts.Client(), ts.URL, resp.Header.Get("X-Bfdnd-Trace")))
+		sims, lays := names["sim.run"], names["tree.layout"]
+		if len(sims) != 1 || len(lays) != c.layouts {
+			t.Fatalf("%s: %d sim.run and %d tree.layout spans, want 1 and %d", c.alg, len(sims), len(lays), c.layouts)
+		}
+		for _, l := range lays {
+			if l.Parent != sims[0].Parent {
+				t.Errorf("%s: tree.layout parent %q, sim.run parent %q: want siblings", c.alg, l.Parent, sims[0].Parent)
+			}
+			if l.Attrs["n"] != "60" {
+				t.Errorf("%s: tree.layout n = %q, want 60", c.alg, l.Attrs["n"])
+			}
+		}
+	}
+}
+
 // TestTracesEndpointWithoutTracer pins the off-by-default contract: no
 // -tracebuf means no ring, and the endpoint says so instead of serving an
 // empty stream that looks like "no traffic".

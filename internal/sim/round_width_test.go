@@ -7,12 +7,14 @@ import (
 	"bfdn/internal/tree"
 )
 
-// TestReservationSurvivesLargeRound pins the round-counter width contract:
-// World.round, Ticket.round and the reservedRound table all share the same
-// int type. Before they were unified, reservedRound was []int32, so a world
-// whose round counter had passed math.MaxInt32 stored a truncated value,
-// reservedThisRound never matched the current round, and the same dangling
-// edge could be reserved twice in one round.
+// TestReservationSurvivesLargeRound pins the round-counter width contract
+// for a world whose round counter has passed math.MaxInt32: World.round and
+// Ticket.round share the same int type, so a ticket issued in such a round
+// still matches it when applied. The per-round resTable, which counts the
+// dangling edges handed out at each node, is keyed by node and emptied on
+// every committed round, never by round number, so two reservations at one
+// node in one round must issue distinct children and the next round must
+// start from a fresh count.
 func TestReservationSurvivesLargeRound(t *testing.T) {
 	big := int64(math.MaxInt32) + 7
 	if int64(int(big)) != big {

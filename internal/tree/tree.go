@@ -164,6 +164,48 @@ func FromParents(parents []int32) (*Tree, error) {
 	return b.Build(), nil
 }
 
+// BFSLayout returns the same tree renumbered in BFS order, children in port
+// order: the root stays 0, and when node i is dequeued its children take
+// the next consecutive IDs. Port numbering, depths and degrees are kept
+// node for node, so a run that decides from ports alone is the same run on
+// either tree, while the layout keeps the per-node words of one depth
+// together. Every child range is a run of consecutive IDs, so the child
+// array is 1..n-1. The copy is built in one pass over t's CSR child array;
+// each node's parent, depth and port are known when it is enqueued.
+func (t *Tree) BFSLayout() *Tree {
+	n := len(t.parent)
+	out := &Tree{
+		parent:   make([]NodeID, n),
+		childArr: make([]NodeID, n-1),
+		childOff: make([]int32, n+1),
+		childPos: make([]int32, n),
+		depth:    make([]int32, n),
+		maxDepth: t.maxDepth,
+		maxDeg:   t.maxDeg,
+	}
+	// old[i] is the ID in t of the node numbered i here: the BFS queue.
+	old := make([]NodeID, n)
+	out.parent[0] = Nil
+	next := int32(1)
+	for i := int32(0); i < int32(n); i++ {
+		v := old[i]
+		lo, hi := t.childOff[v], t.childOff[v+1]
+		out.childOff[i] = next - 1
+		d := out.depth[i] + 1
+		for j, c := range t.childArr[lo:hi] {
+			id := next + int32(j)
+			old[id] = c
+			out.parent[id] = NodeID(i)
+			out.depth[id] = d
+			out.childPos[id] = int32(j)
+			out.childArr[id-1] = NodeID(id)
+		}
+		next += hi - lo
+	}
+	out.childOff[n] = int32(n - 1)
+	return out
+}
+
 // N reports the number of nodes.
 func (t *Tree) N() int { return len(t.parent) }
 

@@ -276,3 +276,15 @@ func TestParentsRoundTrip(t *testing.T) {
 		t.Error("Parents/FromParents round trip changed the tree")
 	}
 }
+
+// TestBFSLayoutFamilies checks BFSLayout's contract on every generator
+// family, where FuzzBFSLayout's byte-sized parents cannot reach.
+func TestBFSLayoutFamilies(t *testing.T) {
+	for _, f := range Families() {
+		tr, err := Generate(f, 500, 12, rand.New(rand.NewSource(3)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(string(f), func(t *testing.T) { checkBFSLayout(t, tr) })
+	}
+}

@@ -2,10 +2,15 @@ package bfdn
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"bfdn/internal/sim"
 	"bfdn/internal/tree"
 )
 
@@ -111,5 +116,82 @@ func TestReportsInvariantUnderRelabel(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestExploreMatchesCallerLabels pins that Explore's BFS layout of
+// label-free runs (DESIGN.md S34) is invisible: for every algorithm, the
+// report equals that of a run on the caller's tree as given, so an
+// algorithm that reads NodeIDs (BFDN_ℓ, level-wise) must not be laid out.
+// Seed 3 is kept for its random binary tree, on which a laid-out
+// level-wise run at k = 5 differs.
+func TestExploreMatchesCallerLabels(t *testing.T) {
+	for _, f := range []Family{FamilyRandom, FamilyRandomBin, FamilyComb, FamilySpider, FamilyCaterpillar, FamilyUneven} {
+		for seed := int64(1); seed <= 3; seed++ {
+			tr, err := GenerateTree(f, 300, 12, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, a := range Algorithms() {
+				for _, k := range []int{1, 5, 16, 64} {
+					got, err := Explore(tr, k, WithAlgorithm(a))
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg := defaultConfig()
+					cfg.alg = a
+					alg, bound, err := newSimAlgorithm(tr, k, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					w, err := sim.NewWorld(tr.t, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := sim.Run(w, alg, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := simReport(tr, k, res, bound)
+					gb, _ := json.Marshal(got)
+					wb, _ := json.Marshal(want)
+					if !bytes.Equal(gb, wb) {
+						t.Errorf("%s k=%d on %s seed %d:\n got %s\nwant %s", a, k, tr, seed, gb, wb)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestExploreDropsCallerTree pins the memory side of the layout (DESIGN.md
+// S34): once a label-free run has its BFS copy, the caller's tree is no
+// longer reachable from the run, so a caller that drops its own reference
+// (as bfdnd's explore handler does) holds one tree during the run, not two.
+// The caller's tree carries a finalizer, and the run's progress observer
+// collects garbage until the finalizer has run or two seconds have passed.
+func TestExploreDropsCallerTree(t *testing.T) {
+	var freed atomic.Bool
+	tr, err := GenerateTree(FamilyRandom, 20_000, 30, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.SetFinalizer(tr.t, func(*tree.Tree) { freed.Store(true) })
+	sawFreed := false
+	_, err = ExploreContext(context.Background(), tr, 16, WithProgress(func(p Progress) {
+		if p.Round != 10 {
+			return
+		}
+		for deadline := time.Now().Add(2 * time.Second); !freed.Load() && time.Now().Before(deadline); {
+			runtime.GC()
+			time.Sleep(10 * time.Millisecond)
+		}
+		sawFreed = freed.Load()
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sawFreed {
+		t.Error("the caller's tree stayed reachable during a BFDN run on its layout")
 	}
 }
